@@ -5,14 +5,17 @@ a permutation, 2 parameter or hypothesis errors, 3 budget guard tripped
 (override with --force), 4 inversion produced no valid candidate.
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
-order and the search CSV is byte-identical for a fixed seed, regardless of
-thread count.
+order and the search CSV is byte-identical for a fixed seed.  Evaluation
+runs on one thread; the ``--threads`` flag of ``verify`` and ``search`` is
+accepted and ignored.
 """
 
 import argparse
 import json
 import sys
 import time
+
+import numpy as np
 
 from .families import (
     ConditionViolatedError,
@@ -21,15 +24,17 @@ from .families import (
     check_gcd_identities,
     enumerate_params,
     instantiate,
+    trinomial_at_logs,
     value_table,
 )
-from .field import FieldSpec, default_spec
+from .field import TABLE_DEGREE_LIMIT, FieldSpec, default_spec
 from .inverter import InversionError, invert
-from .permcheck import BudgetExceededError, CHECK_DEGREE_LIMIT, check, sample_points
+from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
 SEARCH_DEGREE_LIMIT = 14
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
+THREADS_HELP = "accepted and ignored: evaluation runs on one thread"
 
 
 def _parse_modulus(text: str) -> FieldSpec:
@@ -49,12 +54,8 @@ def _instance(args):
 
 def _cmd_verify(args) -> int:
     inst = _instance(args)
-    if inst.n > CHECK_DEGREE_LIMIT and not args.force:
-        raise BudgetExceededError(
-            f"n={inst.n} exceeds the verify budget n <= {CHECK_DEGREE_LIMIT} "
-            f"(rerun with --force)")
-    table = value_table(inst, threads=args.threads)
-    report = check(table, inst.spec, force=True)
+    guard_budget(inst.spec, args.force, "exhaustive check")
+    report = check(value_table(inst), inst.spec, force=True)
     print(inst.to_json())
     print(json.dumps(report.to_json_dict()))
     if args.force_params:
@@ -87,11 +88,9 @@ def _family_triples(n: int, spec: FieldSpec):
     return table
 
 
-def _search_survivors(spec: FieldSpec, sample_count: int, seed: int, threads: int):
+def _search_survivors(spec: FieldSpec, sample_count: int, seed: int):
     """Quick-reject every exponent triple against seeded sample points and
-    return the survivors per e1, in canonical ascending order."""
-    import numpy as np
-
+    return the survivors in canonical ascending order."""
     mult = spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
     pts = np.array(sample_points(spec, sample_count, seed), dtype=np.uint32)
@@ -102,11 +101,10 @@ def _search_survivors(spec: FieldSpec, sample_count: int, seed: int, threads: in
     P = exp_np[(np.arange(1, mult, dtype=np.uint64)[:, None] * logs[None, :]) % mult]
 
     def survivors_for(e1: int):
+        # one e1 block per call, so its arrays are freed before the next
         e2s = np.arange(2, e1, dtype=np.int64)
         counts = e2s - 1
         total = int(counts.sum())
-        if total == 0:
-            return []
         e2_arr = np.repeat(e2s, counts)
         offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
         e3_arr = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
@@ -115,25 +113,12 @@ def _search_survivors(spec: FieldSpec, sample_count: int, seed: int, threads: in
             vals = np.concatenate([vals, np.zeros((total, 1), dtype=vals.dtype)], axis=1)
         vs = np.sort(vals, axis=1)
         clean = ~(vs[:, 1:] == vs[:, :-1]).any(axis=1)
-        idx = np.nonzero(clean)[0]
-        return [(e1, int(e2_arr[i]), int(e3_arr[i])) for i in idx]
+        return [(e1, int(e2_arr[i]), int(e3_arr[i])) for i in np.nonzero(clean)[0]]
 
-    e1_range = range(3, mult)
-    if threads <= 1:
-        per_e1 = [survivors_for(e1) for e1 in e1_range]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_e1 = list(pool.map(survivors_for, e1_range))
-    out = []
-    for rows in per_e1:
-        out.extend(rows)
-    return out
+    return [row for e1 in range(3, mult) for row in survivors_for(e1)]
 
 
 def _cmd_search(args) -> int:
-    import numpy as np
-
     if args.n < 2:
         raise ValueError("--n must be >= 2")
     if args.n > SEARCH_DEGREE_LIMIT and not args.force:
@@ -143,21 +128,10 @@ def _cmd_search(args) -> int:
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")
-    mult = spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
-    logs_all = log_np[1:].astype(np.uint64)
-
-    def is_permutation(e1, e2, e3):
-        # full check over the domain: f(0) = 0, so the nonzero values must
-        # be distinct and avoid 0
-        v = (exp_np[(e1 * logs_all) % mult]
-             ^ exp_np[(e2 * logs_all) % mult]
-             ^ exp_np[(e3 * logs_all) % mult])
-        counts = np.bincount(v, minlength=spec.order)
-        return counts[0] == 0 and int(counts.max()) == 1
-
+    logs = log_np[1:].astype(np.uint64)
     fam_map = _family_triples(args.n, spec)
-    survivors = _search_survivors(spec, args.samples, args.seed, args.threads)
+    survivors = _search_survivors(spec, args.samples, args.seed)
 
     stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -165,7 +139,11 @@ def _cmd_search(args) -> int:
                      f"seed={args.seed} samples={args.samples}\n")
         stream.write("e1,e2,e3,is_permutation,family,k,m\n")
         for e1, e2, e3 in survivors:
-            perm = is_permutation(e1, e2, e3)
+            # full check over the domain: f(0) = 0, so the values at the
+            # nonzero points must be distinct and avoid 0
+            counts = np.bincount(trinomial_at_logs(exp_np, logs, (e1, e2, e3)),
+                                 minlength=spec.order)
+            perm = counts[0] == 0 and int(counts.max()) == 1
             fam, k, m = fam_map.get((e1, e2, e3), ("", "", ""))
             m = "" if m is None else m
             stream.write(f"{e1},{e2},{e3},{str(perm).lower()},{fam},{k},{m}\n")
@@ -222,7 +200,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("--reps must be >= 1")
     inst = _instance(args)
     spec = inst.spec
-    if spec.n <= 20:
+    if spec.n <= TABLE_DEGREE_LIMIT:
         spec.build_tables()
     verify_ns = None
     for _ in range(args.reps):
@@ -261,7 +239,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="exhaustively verify one family instance")
     _add_instance_flags(p)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--force", action="store_true", help="override the budget guard")
     p.set_defaults(func=_cmd_verify)
 
@@ -276,7 +254,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None, metavar="PATH")
     p.add_argument("--modulus", default=None, metavar="0xHEX")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--force", action="store_true", help="override the budget guard")
     p.set_defaults(func=_cmd_search)
 

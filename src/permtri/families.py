@@ -22,7 +22,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .field import FieldElement, FieldSpec, default_spec
+import numpy as np
+
+from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, default_spec
 
 
 class ConditionViolatedError(Exception):
@@ -203,63 +205,52 @@ def instantiate(family: FamilyId | str,
     return FamilyInstance(family, params, spec, exponents_of(family, params))
 
 
+def trinomial_bits(spec: FieldSpec, exponents, x: int) -> int:
+    """x^e1 + x^e2 + x^e3 at one residue (the scalar kernel)."""
+    e1, e2, e3 = exponents
+    return spec.pow(x, e1) ^ spec.pow(x, e2) ^ spec.pow(x, e3)
+
+
+def trinomial_at_logs(exp_np, logs, exponents):
+    """x^e1 + x^e2 + x^e3 at the nonzero points with discrete logs ``logs``
+    (the array kernel).
+
+    ``exp_np`` is the antilog array from ``FieldSpec.exp_log_arrays``,
+    ``logs`` a uint64 array and ``exponents`` reduced into [1, 2^n - 1], so
+    that each product stays far below 2^64.
+    """
+    mult = exp_np.size
+    e1, e2, e3 = exponents
+    return (exp_np[(e1 * logs) % mult]
+            ^ exp_np[(e2 * logs) % mult]
+            ^ exp_np[(e3 * logs) % mult])
+
+
 def evaluate(inst: FamilyInstance, x: FieldElement) -> FieldElement:
     """f(x) = x^e1 + x^e2 + x^e3 at a single point."""
     if x.spec != inst.spec:
         raise ValueError("element bound to a different FieldSpec")
-    spec = inst.spec
-    e1, e2, e3 = inst.exponents
-    bits = spec.pow(x.bits, e1) ^ spec.pow(x.bits, e2) ^ spec.pow(x.bits, e3)
-    return FieldElement(spec, bits)
+    return FieldElement(inst.spec, trinomial_bits(inst.spec, inst.exponents, x.bits))
 
 
-def value_table(inst: FamilyInstance, threads: int = 1):
+def value_table(inst: FamilyInstance):
     """f over the whole field as a numpy uint32 array indexed by x.bits.
 
-    Uses the log/antilog fast path for n <= 20 (table build is cached on
-    the FieldSpec); falls back to per-element powering above that.  The
-    domain is split into contiguous chunks when threads > 1; results are
-    assembled in chunk order and are bit-identical for any thread count.
+    Uses the log/antilog array kernel for n <= TABLE_DEGREE_LIMIT (the
+    table build is cached on the FieldSpec) and the scalar kernel, one
+    element at a time, above that.
     """
-    import numpy as np
-
     spec = inst.spec
-    size = spec.order
-    mult = size - 1
-    e1, e2, e3 = ((e - 1) % mult + 1 for e in inst.exponents)
-
-    if spec.n <= 20:
-        exp_np, log_np = spec.exp_log_arrays()
-
-        def eval_chunk(lo: int, hi: int):
-            lo = max(lo, 1)
-            logs = log_np[lo:hi].astype(np.uint64)
-            acc = exp_np[(e1 * logs) % mult]
-            acc = acc ^ exp_np[(e2 * logs) % mult]
-            acc = acc ^ exp_np[(e3 * logs) % mult]
-            return acc
-    else:
-        def eval_chunk(lo: int, hi: int):
-            lo = max(lo, 1)
-            p = spec.pow
-            return np.fromiter(
-                (p(x, e1) ^ p(x, e2) ^ p(x, e3) for x in range(lo, hi)),
-                dtype=np.uint32, count=hi - lo)
-
-    out = np.empty(size, dtype=np.uint32)
+    reduced = inst.reduced_exponents()
+    out = np.empty(spec.order, dtype=np.uint32)
     out[0] = 0  # all exponents >= 1
-    if threads <= 1:
-        out[1:] = eval_chunk(0, size)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-    bounds = [(i * size // threads, (i + 1) * size // threads) for i in range(threads)]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > max(lo, 1)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(lambda b: eval_chunk(*b), bounds))
-    pos = 1
-    for chunk in chunks:
-        out[pos:pos + len(chunk)] = chunk
-        pos += len(chunk)
+    if spec.n <= TABLE_DEGREE_LIMIT:
+        exp_np, log_np = spec.exp_log_arrays()
+        out[1:] = trinomial_at_logs(exp_np, log_np[1:].astype(np.uint64), reduced)
+    else:
+        out[1:] = np.fromiter(
+            (trinomial_bits(spec, reduced, x) for x in range(1, spec.order)),
+            dtype=np.uint32, count=spec.order - 1)
     return out
 
 

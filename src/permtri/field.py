@@ -356,7 +356,10 @@ class FieldSpec:
                 exp[i] = exp[i + m] = v
                 log[v] = i
                 v = self.mul_baseline(v, g)
-            assert v == 1, "generator order mismatch"
+            if log[1] != 0:
+                # 1 recurs before step 2^n - 1: g is not a generator
+                raise FieldError(f"0x{g:x} does not generate the multiplicative "
+                                 f"group of {self!r}")
             self._log = log
             self._exp = exp
 

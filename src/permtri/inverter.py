@@ -16,8 +16,8 @@ epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
 
 from dataclasses import dataclass
 
-from .families import FamilyId, FamilyInstance
-from .field import FieldElement, cube_root_of_unity, fractional_power
+from .families import FamilyId, FamilyInstance, trinomial_bits
+from .field import TABLE_DEGREE_LIMIT, FieldElement, cube_root_of_unity, fractional_power
 from .linalg2 import LinearizedPoly, solve_affine
 
 
@@ -85,15 +85,9 @@ class InversionTrace:
         }
 
 
-def _eval_bits(inst: FamilyInstance, x: int) -> int:
-    spec = inst.spec
-    e1, e2, e3 = inst.exponents
-    return spec.pow(x, e1) ^ spec.pow(x, e2) ^ spec.pow(x, e3)
-
-
 def _pick(inst: FamilyInstance, a: int, candidates: list[int]) -> int:
     for x in candidates:
-        if _eval_bits(inst, x) == a:
+        if trinomial_bits(inst.spec, inst.exponents, x) == a:
             return x
     raise NoValidCandidateError(
         f"no candidate maps to 0x{a:x} under {inst.family.value} "
@@ -271,7 +265,7 @@ def invert(inst: FamilyInstance, a: FieldElement) -> tuple[FieldElement, Inversi
     if a.spec != inst.spec:
         raise ValueError("element bound to a different FieldSpec")
     spec = inst.spec
-    if spec.n <= 20 and not spec.tables_built:
+    if spec.n <= TABLE_DEGREE_LIMIT and not spec.tables_built:
         spec.build_tables()
     bits = a.bits
     b, c = _conjugates(inst, bits)

@@ -49,11 +49,6 @@ class LinearizedPoly:
         return FieldElement(self.spec, self.eval_bits(x.bits))
 
 
-def evaluate(L: LinearizedPoly, x: FieldElement) -> FieldElement:
-    """Apply the linearized polynomial to x."""
-    return L(x)
-
-
 class BitMatrix:
     """Square bit matrix over GF(2); column i is the image of X^i."""
 

@@ -1,26 +1,26 @@
 """Exhaustive bijection verification over F_{2^n}, with diagnostics.
 
-The checker evaluates a map on the entire field, then analyzes the value
-table in one deterministic pass: distinct-value count, first collision in
-ascending input order, fixed points, and (for permutations) the cycle
-type.  Because the analysis always runs over the fully assembled table,
-the report is bit-identical no matter how the evaluation work was chunked
-across threads.
+The checker evaluates a map on the entire field, on one thread, then
+analyzes the value table deterministically: one ``bincount`` over the
+values gives the verdict and the missing-value count, followed by the
+fixed points and either the cycle type (for permutations) or the first
+collision in ascending input order (for everything else).
 
 Maps are given either as a callable on FieldElement or as a precomputed
-value table (any integer sequence of length 2^n, e.g. the numpy array from
-``families.value_table``).
+value table (any integer sequence of length 2^n with entries in [0, 2^n),
+e.g. the numpy array from ``families.value_table``); other tables raise
+ValueError.
 """
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldElement, FieldSpec
+from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec
 
 CHECK_DEGREE_LIMIT = 28
-TABLE_DEGREE_LIMIT = 20
 
 
 class BudgetExceededError(Exception):
@@ -90,70 +90,69 @@ class InverseTable:
         return self._map.keys()
 
 
-def _as_values(f, spec: FieldSpec, threads: int = 1):
-    """Normalize callable-or-table input to a full value table."""
-    if callable(f):
-        return evaluate_map(f, spec, threads=threads)
-    values = np.asarray(f, dtype=np.uint32)
+def guard_budget(spec: FieldSpec, force: bool, task: str,
+                 limit: int = CHECK_DEGREE_LIMIT) -> None:
+    """Refuse an exhaustive ``task`` over a field beyond n <= limit unless forced."""
+    if spec.n > limit and not force:
+        raise BudgetExceededError(
+            f"{task} over 2^{spec.n} points exceeds the n <= {limit} budget "
+            f"(pass force / --force to override)")
+
+
+def _as_values(f, spec: FieldSpec):
+    """Normalize callable-or-table input to a full uint32 value table."""
+    values = evaluate_map(f, spec) if callable(f) else np.asarray(f)
     if values.shape != (spec.order,):
         raise ValueError(f"value table must have length 2^{spec.n}")
-    return values
+    if values.dtype.kind not in "iu" or values.min() < 0 or values.max() >= spec.order:
+        raise ValueError(f"value table entries must be integers in [0, 2^{spec.n})")
+    return values.astype(np.uint32, copy=False)
 
 
-def evaluate_map(f, spec: FieldSpec, threads: int = 1):
+def _missing_count(values) -> int:
+    """Field elements no input maps to; 0 iff the table is a bijection."""
+    return int(np.count_nonzero(np.bincount(values, minlength=values.size) == 0))
+
+
+def evaluate_map(f, spec: FieldSpec):
     """Evaluate a FieldElement callable over the whole field, in input order."""
-    size = spec.order
-
-    def chunk(lo: int, hi: int):
-        elem = spec.element
-        return np.fromiter((f(elem(x)).bits for x in range(lo, hi)),
-                           dtype=np.uint32, count=hi - lo)
-
-    if threads <= 1:
-        return chunk(0, size)
-    from concurrent.futures import ThreadPoolExecutor
-    bounds = [(i * size // threads, (i + 1) * size // threads) for i in range(threads)]
-    bounds = [(lo, hi) for lo, hi in bounds if hi > lo]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        chunks = list(pool.map(lambda b: chunk(*b), bounds))
-    return np.concatenate(chunks)
+    elem = spec.element
+    return np.fromiter((f(elem(x)).bits for x in range(spec.order)),
+                       dtype=np.uint32, count=spec.order)
 
 
-def _first_collision(values) -> tuple[int, int] | None:
-    # Stable argsort groups equal values with their original indices
-    # ascending; the canonical witness's x2 is the smallest second
-    # occurrence over all groups, and the entry just before it in the
-    # sorted order is that group's first occurrence.
+def _first_collision(values) -> tuple[int, int]:
+    # Called only for non-bijections, so some value repeats.  Stable
+    # argsort groups equal values with their original indices ascending;
+    # the canonical witness's x2 is the smallest second occurrence over all
+    # groups, and the entry just before it in the sorted order is that
+    # group's first occurrence.
     order = np.argsort(values, kind="stable")
     sv = values[order]
     dup = np.nonzero(sv[1:] == sv[:-1])[0]
-    if dup.size == 0:
-        return None
     seconds = order[dup + 1]
     best = int(np.argmin(seconds))
     return int(order[dup[best]]), int(seconds[best])
 
 
-def check(f, spec: FieldSpec, *, threads: int = 1, force: bool = False) -> PermutationReport:
+def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
     """Exhaustively decide whether f permutes F_{2^n}.
 
-    ``f`` is a callable on FieldElement or a precomputed value table.
-    Fields beyond n = 28 are refused unless ``force`` is set.
+    ``f`` is a callable on FieldElement or a precomputed value table with
+    entries in [0, 2^n).  Fields beyond n = 28 are refused unless ``force``
+    is set.
     """
-    if spec.n > CHECK_DEGREE_LIMIT and not force:
-        raise BudgetExceededError(
-            f"exhaustive check over 2^{spec.n} points exceeds the n <= "
-            f"{CHECK_DEGREE_LIMIT} budget (pass force to override)")
-    values = _as_values(f, spec, threads=threads)
-    witness_bits = _first_collision(values)
-    missing = int(values.size - np.unique(values).size)
+    guard_budget(spec, force, "exhaustive check")
+    values = _as_values(f, spec)
+    missing = _missing_count(values)
     fixed = int(np.count_nonzero(values == np.arange(values.size, dtype=np.uint32)))
-    is_perm = witness_bits is None
-    assert is_perm == (missing == 0)
-    cycle_type = _cycle_type_of_table(values) if is_perm else None
-    witness = None
-    if witness_bits is not None:
-        witness = (spec.element(witness_bits[0]), spec.element(witness_bits[1]))
+    is_perm = missing == 0
+    cycle_type = witness = None
+    if is_perm:
+        cycle_type = _cycle_type_of_table(values)
+    else:
+        x1, x2 = _first_collision(values)
+        witness = (spec.element(x1), spec.element(x2))
     return PermutationReport(
         is_permutation=is_perm,
         domain_size=int(values.size),
@@ -182,13 +181,10 @@ def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
     return tuple(sorted(counts.items()))
 
 
-def inverse_table(f, spec: FieldSpec, *, threads: int = 1, force: bool = False) -> InverseTable:
+def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:
     """Exact preimage map from one exhaustive pass (n <= 20 unless forced)."""
-    if spec.n > TABLE_DEGREE_LIMIT and not force:
-        raise BudgetExceededError(
-            f"inverse table over 2^{spec.n} points exceeds the n <= "
-            f"{TABLE_DEGREE_LIMIT} budget (pass force to override)")
-    values = _as_values(f, spec, threads=threads)
+    guard_budget(spec, force, "inverse table", TABLE_DEGREE_LIMIT)
+    values = _as_values(f, spec)
     mapping: dict[int, list[int]] = {}
     for x, v in enumerate(values.tolist()):
         mapping.setdefault(v, []).append(x)
@@ -202,13 +198,8 @@ def quick_reject(f, spec: FieldSpec, sample_count: int, seed: int):
     found among the samples, else None.  None proves nothing; a witness is
     always genuine.  Same seed, same f: identical outcome.
     """
-    import random
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = random.Random(seed)
-    xs = rng.sample(range(spec.order), min(sample_count, spec.order))
     seen: dict[int, int] = {}
-    for x in xs:
+    for x in sample_points(spec, sample_count, seed):
         v = f(spec.element(x)).bits
         prev = seen.get(v)
         if prev is not None and prev != x:
@@ -219,7 +210,6 @@ def quick_reject(f, spec: FieldSpec, sample_count: int, seed: int):
 
 def sample_points(spec: FieldSpec, sample_count: int, seed: int) -> list[int]:
     """The input sample quick_reject draws for this seed (shared with search)."""
-    import random
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     rng = random.Random(seed)
@@ -231,11 +221,8 @@ def cycle_structure(f, spec: FieldSpec, *, force: bool = False) -> tuple[tuple[i
 
     Raises NotAPermutationError if f does not permute the field.
     """
-    if spec.n > CHECK_DEGREE_LIMIT and not force:
-        raise BudgetExceededError(
-            f"cycle walk over 2^{spec.n} points exceeds the n <= "
-            f"{CHECK_DEGREE_LIMIT} budget (pass force to override)")
+    guard_budget(spec, force, "cycle walk")
     values = _as_values(f, spec)
-    if np.unique(values).size != values.size:
+    if _missing_count(values):
         raise NotAPermutationError("map is not a bijection")
     return _cycle_type_of_table(values)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -14,9 +15,11 @@ from permtri.families import (
     evaluate,
     exponents_of,
     instantiate,
+    trinomial_bits,
     validate_params,
+    value_table,
 )
-from permtri.field import FieldSpec, default_spec
+from permtri.field import FieldSpec, default_spec, irreducibles
 from oracles import naive_pow
 
 
@@ -110,6 +113,17 @@ class TestEvaluate:
     def test_reduced_exponents(self):
         inst = instantiate("F6", m=2, k=3)
         assert inst.reduced_exponents() == (4681 % 255, 16, 1) == (91, 16, 1)
+
+    def test_value_table_matches_scalar_kernel(self):
+        # the array kernel (reduced exponents, log gathers) against the
+        # scalar kernel (exact exponents, pow) under the default modulus,
+        # which is the smallest irreducible, and the next one (none at n = 2)
+        for inst in enumerate_instances(12):
+            for modulus in itertools.islice(irreducibles(inst.n), 2):
+                alt = instantiate(inst.family, inst.params, FieldSpec(inst.n, modulus))
+                table = value_table(alt).tolist()
+                assert table == [trinomial_bits(alt.spec, alt.exponents, x)
+                                 for x in range(alt.spec.order)], (alt, hex(modulus))
 
 
 class TestEnumerateParams:

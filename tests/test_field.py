@@ -1,10 +1,13 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from permtri.field import (
     DEFAULT_MODULI,
+    FieldError,
     FieldMismatchError,
     FieldSpec,
     NoCubeRootError,
@@ -340,3 +343,20 @@ class TestSpecAndElements:
                 seen.add(x)
                 x = spec.mul(x, g)
             assert x == 1 and len(seen) == m
+
+    def test_table_build_rejects_non_generator(self):
+        spec = FieldSpec(4)
+        spec._generator = 8          # order 5 in the group of order 15
+        with pytest.raises(FieldError, match="does not generate"):
+            spec.build_tables()
+        assert not spec.tables_built
+
+
+def test_no_assert_statements_in_library():
+    # invariants must raise: python -O strips assert statements
+    src = Path(__file__).resolve().parents[1] / "src" / "permtri"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -55,20 +55,6 @@ class TestCheck:
         rep2 = check([3, 2, 3, 2], spec)
         assert tuple(x.bits for x in rep2.collision_witness) == (0, 2)
 
-    def test_thread_count_never_changes_report(self):
-        inst = instantiate("F6", m=2, k=3)
-        baseline = check(value_table(inst, threads=1), inst.spec)
-        for threads in (2, 3, 8):
-            assert check(value_table(inst, threads=threads), inst.spec) == baseline
-        rng = random.Random(5)
-        table = [rng.randrange(64) for _ in range(64)]
-        spec6 = default_spec(6)
-        base = check(lambda e, t=table: spec6.element(t[e.bits]), spec6, threads=1)
-        for threads in (2, 5):
-            got = check(lambda e, t=table: spec6.element(t[e.bits]), spec6,
-                        threads=threads)
-            assert got == base
-
     def test_budget_guard(self):
         big = FieldSpec(29)
         with pytest.raises(BudgetExceededError):
@@ -85,6 +71,14 @@ class TestCheck:
     def test_table_length_validated(self):
         with pytest.raises(ValueError):
             check([0, 1, 2], F8)
+        spec = default_spec(2)
+        for table in ([0, 1, 2, 7], [0, 1, 7, 7], [0, 1, 2, -1], [0, 1, 2, 2 ** 70]):
+            with pytest.raises(ValueError):
+                check(table, spec)
+        with pytest.raises(ValueError):
+            inverse_table([0, 1, 2, 7], spec)
+        with pytest.raises(ValueError):
+            cycle_structure(np.array([0, 1, 2, 7]), spec)
 
 
 class TestInverseTable:
