@@ -63,12 +63,6 @@ from .inverter import (
     Zeta1ZeroError,
     ZeroDenominatorError,
     invert,
-    invert_f1,
-    invert_f2,
-    invert_f3,
-    invert_f4,
-    invert_f5,
-    invert_f6,
 )
 
 __version__ = "0.1.0"

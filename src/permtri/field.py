@@ -12,8 +12,10 @@ Two multiplication routes exist:
 
 * ``mul_baseline`` -- portable shift-and-XOR with modular reduction,
 * log/antilog tables over a multiplicative generator, built on demand for
-  n <= 20 via ``build_tables``; once built, ``mul``/``inv``/``pow`` become
-  O(1) table lookups and must agree bit-exactly with the baseline.
+  n <= 20 via ``build_tables``: numpy arrays filled block by block with
+  GF(2)-linear doubling steps (no per-element loop), plus Python-list
+  copies for the scalar route.  Once built, ``mul``/``inv``/``pow`` become
+  O(1) list lookups and must agree bit-exactly with the baseline.
 
 ``DEFAULT_MODULI`` pins one modulus per degree 2..32: the irreducible
 polynomial with the smallest integer encoding.  Degree 8 is the familiar
@@ -22,6 +24,8 @@ polynomial with the smallest integer encoding.  Degree 8 is the familiar
 
 import functools
 import threading
+
+import numpy as np
 
 MIN_DEGREE = 2
 MAX_DEGREE = 32
@@ -115,7 +119,7 @@ def is_irreducible(poly: int) -> bool:
     every prime p dividing n, gcd(X^(2^(n/p)) - X, poly) = 1.
     """
     n = poly.bit_length() - 1
-    if n < 1:
+    if poly < 0 or n < 1:
         return False
     if _x_pow_2e(n, poly) != _poly_mod(0b10, poly):
         return False
@@ -174,6 +178,8 @@ class FieldSpec:
             raise ValueError(f"extension degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {n}")
         if modulus is None:
             modulus = DEFAULT_MODULI[n]
+        if modulus < 0:
+            raise ValueError(f"modulus must be nonnegative, got {modulus:#x}")
         if modulus.bit_length() - 1 != n:
             raise ValueError(f"modulus 0x{modulus:x} does not have degree {n}")
         if not modulus & 1:
@@ -337,8 +343,12 @@ class FieldSpec:
     def build_tables(self) -> None:
         """Build log/antilog tables (n <= 20).  Idempotent and thread-safe.
 
-        exp is stored doubled so a log-sum below 2(2^n - 1) indexes without
-        a modulo; log[0] stays unused.
+        The antilog array is filled by doubling, exp[s:2s] = exp[:s] * g^s:
+        multiplying by a constant is GF(2)-linear, so each block is the XOR
+        of the constant's n basis images picked by the bits of exp[:s].  The
+        log array is the scatter log[exp[i]] = i; log[0] stays unused.  The
+        scalar route indexes Python-list copies, with exp stored doubled so
+        a log-sum below 2(2^n - 1) indexes without a modulo.
         """
         if self._exp is not None:
             return
@@ -349,35 +359,37 @@ class FieldSpec:
                 return
             g = self.generator()
             m = self.order - 1
-            exp = [0] * (2 * m)
-            log = [0] * self.order
-            v = 1
-            for i in range(m):
-                exp[i] = exp[i + m] = v
-                log[v] = i
-                v = self.mul_baseline(v, g)
-            if log[1] != 0:
+            exp = np.zeros(m, dtype=np.uint32)
+            exp[0] = 1
+            s, g_s = 1, g
+            while s < m:
+                src = exp[:min(s, m - s)]
+                block = exp[s:s + src.size]
+                for i in range(self.n):
+                    block ^= ((src >> i) & 1) * np.uint32(self.mul_baseline(1 << i, g_s))
+                s += src.size
+                g_s = self.mul_baseline(g_s, g_s)
+            if (exp[1:] == 1).any():
                 # 1 recurs before step 2^n - 1: g is not a generator
                 raise FieldError(f"0x{g:x} does not generate the multiplicative "
                                  f"group of {self!r}")
-            self._log = log
-            self._exp = exp
+            log = np.zeros(self.order, dtype=np.uint32)
+            log[exp] = np.arange(m, dtype=np.uint32)
+            self._exp_np, self._log_np = exp, log
+            # one Python int per residue, shared by both list copies: half
+            # the int objects of two independent .tolist() calls
+            ints = np.arange(self.order, dtype=object)
+            self._log = ints[log].tolist()
+            self._exp = ints[exp].tolist() * 2
 
     @property
     def tables_built(self) -> bool:
         return self._exp is not None
 
     def exp_log_arrays(self):
-        """(exp, log) as numpy uint32 arrays for vectorized bulk evaluation;
-        exp has length 2^n - 1 (index by log mod 2^n - 1)."""
-        if self._exp_np is None:
-            import numpy as np
-            self.build_tables()
-            with self._lock:
-                if self._exp_np is None:
-                    m = self.order - 1
-                    self._exp_np = np.array(self._exp[:m], dtype=np.uint32)
-                    self._log_np = np.array(self._log, dtype=np.uint32)
+        """(exp, log) numpy uint32 arrays from ``build_tables``; exp has
+        length 2^n - 1 (index by log mod 2^n - 1)."""
+        self.build_tables()
         return self._exp_np, self._log_np
 
     def frobenius_basis(self, j: int) -> tuple[int, ...]:

@@ -85,10 +85,10 @@ class InversionTrace:
         }
 
 
-def _pick(inst: FamilyInstance, a: int, candidates: list[int]) -> int:
-    for x in candidates:
+def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
+    for x, extras in pairs:
         if trinomial_bits(inst.spec, inst.exponents, x) == a:
-            return x
+            return x, extras
     raise NoValidCandidateError(
         f"no candidate maps to 0x{a:x} under {inst.family.value} "
         f"(k={inst.params.k}, m={inst.params.m}, n={inst.n})")
@@ -101,14 +101,17 @@ def _conjugates(inst: FamilyInstance, a: int) -> tuple[int, int]:
     return b, c
 
 
-def _invert_f1(inst: FamilyInstance, a: int):
+# Each _invert_fX(inst, a, b, c) takes a != 0 with its conjugates and
+# returns the candidate preimages as (x, extras) pairs; extras holds the
+# intermediate values that the trace records if x is chosen.
+
+def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
-    b, c = _conjugates(inst, a)
     eps = a ^ b ^ c
     if eps == 0:
         # the conjugate system collapses to u=b, v=c, w=a, so x^2 = ac
-        return [spec.sqrt(spec.mul(a, c))], {}
+        return [(spec.sqrt(spec.mul(a, c)), {})]
     # scaled linearized equation v^(2^(2k+1)) + v^2 + v = a^2/eps^2 ...
     a2 = spec.mul(a, a)
     eps2 = spec.mul(eps, eps)
@@ -126,14 +129,13 @@ def _invert_f1(inst: FamilyInstance, a: int):
         v = spec.mul(eps, v_scaled.bits)       # undo the eps scaling
         u = spec.frobenius(v, 2 * k)
         w = eps ^ u ^ v
-        candidates.append(spec.sqrt(spec.mul(v, w)))
-    return candidates, {}
+        candidates.append((spec.sqrt(spec.mul(v, w)), {}))
+    return candidates
 
 
-def _invert_f2(inst: FamilyInstance, a: int):
+def _invert_f2(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
-    b, c = _conjugates(inst, a)
     eps = a ^ b ^ c
     b2 = spec.mul(b, b)
     zeta1 = spec.mul(a, c) ^ b2 ^ spec.mul(c, c)
@@ -149,21 +151,20 @@ def _invert_f2(inst: FamilyInstance, a: int):
     if den != 0:
         z = spec.div(spec.mul(eps, lam2 ^ 1) ^ spec.mul(b, lam), den)
         extras["z"] = z
-        return [spec.frobenius(z, k)], extras
+        return [(spec.frobenius(z, k), extras)]
     # lambda^3+lambda+1 = 0 forces lambda^7 = 1, reachable only for k = 1 (mod 3)
     den2 = spec.mul(lam3, lam2) ^ lam3 ^ 1
     if den2 == 0:
         raise ZeroDenominatorError(
             f"lambda^5+lambda^3+1 = 0 at a=0x{a:x} (k={k})")
     y = spec.div(b, den2)
-    return [spec.mul(spec.mul(lam2, lam2), y)], extras
+    return [(spec.mul(spec.mul(lam2, lam2), y), extras)]
 
 
-def _invert_f3(inst: FamilyInstance, a: int):
+def _invert_f3(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     if a == 1:
-        return [1], {}
-    b, c = _conjugates(inst, a)
+        return [(1, {})]
     a2 = spec.mul(a, a)
     b2 = spec.mul(b, b)
     c2 = spec.mul(c, c)
@@ -173,12 +174,11 @@ def _invert_f3(inst: FamilyInstance, a: int):
             f"a^2+a^2b^2+b^4+c^4+1 = 0 at a=0x{a:x}: possible only for a in {{0,1}}")
     # from den*(x+a)^2 = a*b^2*(a^2+b^2+c^2+1)*(x+a): x = a or a + ab^2*num/den
     offset = spec.div(spec.mul(spec.mul(a, b2), a2 ^ b2 ^ c2 ^ 1), den)
-    return [a, a ^ offset], {}
+    return [(a, {}), (a ^ offset, {})]
 
 
-def _invert_f4(inst: FamilyInstance, a: int):
+def _invert_f4(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
-    b, c = _conjugates(inst, a)
     a2 = spec.mul(a, a)
     b2 = spec.mul(b, b)
     bc = spec.mul(b, c)
@@ -190,15 +190,14 @@ def _invert_f4(inst: FamilyInstance, a: int):
     extras = {"alpha": alpha, "beta_coef": beta, "gamma": gamma, "theta_coef": theta}
     if alpha == 0:
         # the cubic degenerates to x^2 = a^2 + 1
-        return [a ^ 1], extras
-    return [a ^ 1, spec.div(beta, alpha)], extras
+        return [(a ^ 1, extras)]
+    return [(a ^ 1, extras), (spec.div(beta, alpha), extras)]
 
 
-def _invert_f5(inst: FamilyInstance, a: int):
+def _invert_f5(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     if a == 1:
-        return [1], {}
-    b, c = _conjugates(inst, a)
+        return [(1, {})]
     a2 = spec.mul(a, a)
     b2 = spec.mul(b, b)
     den = spec.mul(a2, c) ^ a2 ^ b2 ^ spec.mul(c, c) ^ 1
@@ -207,10 +206,10 @@ def _invert_f5(inst: FamilyInstance, a: int):
             f"a^2c+a^2+b^2+c^2+1 = 0 at a=0x{a:x}: excluded while f is onto")
     num = (spec.mul(a2, a) ^ spec.mul(a, b2) ^ spec.mul(a, spec.mul(b, c))
            ^ spec.mul(a, c) ^ a)
-    return [spec.div(num, den)], {}
+    return [(spec.div(num, den), {})]
 
 
-def _invert_f6(inst: FamilyInstance, a: int):
+def _invert_f6(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
     m = inst.params.m
@@ -219,7 +218,6 @@ def _invert_f6(inst: FamilyInstance, a: int):
     big_a = spec.frobenius(a, 2 * m)
     c1 = spec.mul(w, big_a) ^ a                # coefficient of z^(2^k)
     c0 = spec.mul(w2, big_a) ^ a               # coefficient of z
-    extras = {"w": w}
     if c1 == 0 and c0 == 0:
         raise ZeroDenominatorError("both linear coefficients vanish, forcing a = 0")
     if c1 == 0:
@@ -231,7 +229,6 @@ def _invert_f6(inst: FamilyInstance, a: int):
         zs = [s.bits for s in solve_affine(L, spec.element(big_a)) if s.bits]
     unity_order = (1 << (2 * m)) + 1
     candidates = []
-    staged = []
     for z in zs:
         t = spec.inv(z)
         beta = t ^ w
@@ -244,10 +241,8 @@ def _invert_f6(inst: FamilyInstance, a: int):
         x = spec.div(a, den)
         if spec.frobenius(x, 2 * m) != spec.mul(theta, x):
             continue   # conjugacy x^(2^2m) = theta*x must hold
-        candidates.append(x)
-        staged.append((x, z, t, beta, theta))
-    extras["_staged"] = staged
-    return candidates, extras
+        candidates.append((x, {"w": w, "z": z, "t": t, "beta": beta, "theta": theta}))
+    return candidates
 
 
 _DISPATCH = {
@@ -269,61 +264,14 @@ def invert(inst: FamilyInstance, a: FieldElement) -> tuple[FieldElement, Inversi
         spec.build_tables()
     bits = a.bits
     b, c = _conjugates(inst, bits)
-    eps = bits ^ b ^ c
-    if bits == 0:
-        candidates, extras, chosen = [0], {}, 0
-    else:
-        candidates, extras = _DISPATCH[inst.family](inst, bits)
-        chosen = _pick(inst, bits, candidates)
-    staged = extras.pop("_staged", None)
-    if staged is not None:
-        for x, z, t, beta, theta in staged:
-            if x == chosen:
-                extras.update(z=z, t=t, beta=beta, theta=theta)
-                break
+    pairs = [(0, {})] if bits == 0 else _DISPATCH[inst.family](inst, bits, b, c)
+    chosen, extras = _pick(inst, bits, pairs)
     elem = spec.element
     trace = InversionTrace(
-        a=a, b=elem(b), c=elem(c), epsilon=elem(eps),
-        candidates=tuple(elem(x) for x in candidates),
+        a=a, b=elem(b), c=elem(c), epsilon=elem(bits ^ b ^ c),
+        candidates=tuple(elem(x) for x, _ in pairs),
         chosen=elem(chosen),
         **{key: elem(v) for key, v in extras.items()},
     )
     return elem(chosen), trace
 
-
-def _single(inst: FamilyInstance, a: FieldElement, family: FamilyId) -> FieldElement:
-    if inst.family is not family:
-        raise ValueError(f"instance is {inst.family.value}, expected {family.value}")
-    if a.bits == 0:
-        raise ValueError("per-family inverters require a != 0; f(0) = 0 trivially")
-    return invert(inst, a)[0]
-
-
-def invert_f1(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F1 via the conjugate split and linearized solve."""
-    return _single(inst, a, FamilyId.F1)
-
-
-def invert_f2(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F2 via the zeta/lambda rational form."""
-    return _single(inst, a, FamilyId.F2)
-
-
-def invert_f3(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F3 via the two-candidate closed form."""
-    return _single(inst, a, FamilyId.F3)
-
-
-def invert_f4(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F4 via the depressed-cubic candidates."""
-    return _single(inst, a, FamilyId.F4)
-
-
-def invert_f5(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F5 via the linear closed form."""
-    return _single(inst, a, FamilyId.F5)
-
-
-def invert_f6(inst: FamilyInstance, a: FieldElement) -> FieldElement:
-    """Preimage under F6 via the cube-root-of-unity pipeline."""
-    return _single(inst, a, FamilyId.F6)

@@ -179,13 +179,12 @@ def _rref(n: int, rows: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
     return rows, pivots
 
 
-def _solve_bits(spec: FieldSpec, cols, b: int) -> tuple[int | None, list[int]]:
-    n = spec.n
-    rows = BitMatrix(spec, cols).rows()
+def _solve_bits(M: BitMatrix, b: int) -> tuple[int | None, list[int]]:
+    n = M.spec.n
+    rows = M.rows()
     for r in range(n):
         rows[r] |= ((b >> r) & 1) << n
     rows, pivots = _rref(n, rows)
-    var_mask = spec.order - 1
     for r in range(len(pivots), n):
         if rows[r] >> n:           # 0 = 1: inconsistent
             return None, _kernel_from_rref(n, rows, pivots)
@@ -219,7 +218,7 @@ def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
     if b.spec != L.spec:
         raise ValueError("right-hand side bound to a different FieldSpec")
     spec = L.spec
-    particular, kernel_bits = _solve_bits(spec, matrix_of(L).cols, b.bits)
+    particular, kernel_bits = _solve_bits(matrix_of(L), b.bits)
     part = None if particular is None else FieldElement(spec, particular)
     return AffineSolutionSet(spec, part, [FieldElement(spec, v) for v in kernel_bits])
 

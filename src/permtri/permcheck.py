@@ -1,10 +1,13 @@
 """Exhaustive bijection verification over F_{2^n}, with diagnostics.
 
 The checker evaluates a map on the entire field, on one thread, then
-analyzes the value table deterministically: one ``bincount`` over the
-values gives the verdict and the missing-value count, followed by the
-fixed points and either the cycle type (for permutations) or the first
-collision in ascending input order (for everything else).
+analyzes the value table deterministically with numpy passes: one
+``bincount`` over the values gives the verdict and the missing-value count,
+followed by the fixed points and either the cycle type (for permutations)
+or the first collision in ascending input order (for everything else).
+The cycle type comes from pointer jumping: O(log of the longest cycle)
+rounds of whole-table gathers label every point with the minimum of its
+cycle, and a ``bincount`` of those labels gives the cycle lengths.
 
 Maps are given either as a callable on FieldElement or as a precomputed
 value table (any integer sequence of length 2^n with entries in [0, 2^n),
@@ -13,7 +16,6 @@ ValueError.
 """
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,21 +166,22 @@ def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
 
 
 def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
-    table = values.tolist()
-    size = len(table)
-    seen = bytearray(size)
-    counts: Counter[int] = Counter()
-    for start in range(size):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = table[x]
-            length += 1
-        counts[length] += 1
-    return tuple(sorted(counts.items()))
+    # Pointer jumping: after j rounds label[x] is the minimum over the first
+    # 2^j points of x's orbit and step = f^(2^j).  A round changes nothing
+    # exactly when every cycle is covered; each cycle is then labelled by
+    # its minimum (its head), so bincount(label) holds the cycle lengths.
+    label = np.arange(values.size, dtype=np.uint32)
+    step = values
+    while True:
+        nxt = np.minimum(label, label[step])
+        if np.array_equal(nxt, label):
+            break
+        label = nxt
+        step = step[step]
+    sizes = np.bincount(label)
+    by_length = np.bincount(sizes[sizes > 0])
+    return tuple((int(length), int(by_length[length]))
+                 for length in np.flatnonzero(by_length))
 
 
 def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:

@@ -79,3 +79,20 @@ def exhaustive_inverse(spec, nonzero_inv_of: int) -> int:
         if spec.mul_baseline(nonzero_inv_of, y) == 1:
             return y
     raise AssertionError("no inverse found")
+
+
+def naive_cycle_type(table) -> tuple[tuple[int, int], ...]:
+    """Cycle type of a permutation table by walking each cycle once."""
+    table = list(table)
+    seen = [False] * len(table)
+    counts: dict[int, int] = {}
+    for start in range(len(table)):
+        length = 0
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            x = table[x]
+            length += 1
+        if length:
+            counts[length] = counts.get(length, 0) + 1
+    return tuple(sorted(counts.items()))

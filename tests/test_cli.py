@@ -70,6 +70,16 @@ class TestVerify:
                          "--modulus", "0x11B")  # wrong degree for n=3
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "F4", "--k", "3", "--modulus=-0x11b"],
+        ["search", "--n", "8", "--modulus=-0x11b"],
+    ], ids=["verify", "search"])
+    def test_negative_modulus_exit2_without_hanging(self, argv):
+        proc = subprocess.run([sys.executable, "-m", "permtri.cli", *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "nonnegative" in proc.stderr
+
 
 class TestInvert:
     def test_f1_worked_example(self, capsys):

@@ -1,5 +1,8 @@
 import ast
+import itertools
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,9 +86,14 @@ class TestMul:
             for b in range(spec.order):
                 assert spec.mul(a, b) == spec.mul_baseline(a, b)
 
-    @pytest.mark.parametrize("n", [12, 16, 20])
-    def test_table_route_bit_exact_random(self, n):
-        spec = default_spec(n)
+    @pytest.mark.parametrize("n,modulus", [
+        pytest.param(12, None, id="12"),
+        pytest.param(16, None, id="16"),
+        pytest.param(20, None, id="20"),
+        pytest.param(20, 0x100021, id="20-0x100021"),
+    ])
+    def test_table_route_bit_exact_random(self, n, modulus):
+        spec = default_spec(n) if modulus is None else FieldSpec(n, modulus)
         spec.build_tables()
         rng = random.Random(2000 + n)
         for _ in range(2000):
@@ -344,12 +352,42 @@ class TestSpecAndElements:
                 x = spec.mul(x, g)
             assert x == 1 and len(seen) == m
 
+    def test_negative_modulus_rejected_without_hanging(self):
+        # bit_length() ignores the sign, so -0x11b once passed the degree
+        # and constant-term checks and then looped forever in _poly_mod
+        code = ("from permtri.field import FieldSpec, is_irreducible\n"
+                "assert not is_irreducible(-0x11b)\n"
+                "try:\n"
+                "    FieldSpec(8, -0x11b)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert "nonnegative" in proc.stdout
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_tables_match_generator_powers(self, n):
+        for modulus in itertools.islice(irreducibles(n), 2):
+            spec = FieldSpec(n, modulus)
+            exp_np, log_np = spec.exp_log_arrays()
+            m = spec.order - 1
+            g = spec.generator()
+            powers = [1]
+            for _ in range(m - 1):
+                powers.append(spec.mul_baseline(powers[-1], g))
+            assert exp_np.tolist() == powers
+            assert spec._exp == powers + powers
+            assert log_np[1:].tolist() == spec._log[1:]
+            assert [spec._log[v] for v in powers] == list(range(m))
+
     def test_table_build_rejects_non_generator(self):
         spec = FieldSpec(4)
         spec._generator = 8          # order 5 in the group of order 15
         with pytest.raises(FieldError, match="does not generate"):
             spec.build_tables()
         assert not spec.tables_built
+        assert spec._exp_np is None and spec._log_np is None
 
 
 def test_no_assert_statements_in_library():

@@ -12,22 +12,8 @@ from permtri.families import (
     value_table,
 )
 from permtri.field import cube_root_of_unity, default_spec
-from permtri.inverter import (
-    NoValidCandidateError,
-    invert,
-    invert_f1,
-    invert_f2,
-    invert_f3,
-    invert_f4,
-    invert_f5,
-    invert_f6,
-)
+from permtri.inverter import NoValidCandidateError, invert
 from permtri.permcheck import inverse_table
-
-WRAPPERS = {
-    FamilyId.F1: invert_f1, FamilyId.F2: invert_f2, FamilyId.F3: invert_f3,
-    FamilyId.F4: invert_f4, FamilyId.F5: invert_f5, FamilyId.F6: invert_f6,
-}
 
 
 class TestAnchors:
@@ -214,21 +200,6 @@ class TestErrorPaths:
         bad = FamilyInstance(FamilyId.F1, FamilyParams(k=1), spec, (6, 4, 1))
         with pytest.raises(NoValidCandidateError):
             invert(bad, spec.element(0x3))
-
-    def test_wrappers_check_family_and_nonzero(self):
-        inst = instantiate("F1", k=1)
-        with pytest.raises(ValueError):
-            invert_f2(inst, inst.spec.one)
-        with pytest.raises(ValueError):
-            invert_f1(inst, inst.spec.zero)
-
-    def test_wrappers_agree_with_dispatch(self):
-        for inst in enumerate_instances(8):
-            fn = WRAPPERS[inst.family]
-            spec = inst.spec
-            for a in (1, spec.order // 2, spec.order - 1):
-                elem = spec.element(a)
-                assert fn(inst, elem) == invert(inst, elem)[0]
 
     def test_mismatched_spec_rejected(self):
         inst = instantiate("F1", k=1)

@@ -14,6 +14,7 @@ from permtri.permcheck import (
     inverse_table,
     quick_reject,
 )
+from oracles import naive_cycle_type
 
 F8 = default_spec(3)
 
@@ -182,6 +183,35 @@ class TestCycleStructure:
         for inst in enumerate_instances(10):
             ct = cycle_structure(value_table(inst), inst.spec)
             assert sum(length * count for length, count in ct) == inst.spec.order
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_extreme_shapes_match_naive_walk(self, n):
+        spec = default_spec(n)
+        size = spec.order
+        xs = np.arange(size, dtype=np.uint32)
+        shapes = {
+            "identity": (xs, ((1, size),)),
+            "single cycle": ((xs + 1) % size, ((size, 1),)),
+            "involution": (xs ^ 1, ((2, size // 2),)),
+        }
+        for name, (table, expected) in shapes.items():
+            assert naive_cycle_type(table.tolist()) == expected, name
+            assert cycle_structure(table, spec) == expected, name
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_permutations_match_naive_walk(self, n):
+        spec = default_spec(n)
+        rng = np.random.default_rng(3000 + n)
+        for _ in range(5):
+            table = rng.permutation(spec.order).astype(np.uint32)
+            assert cycle_structure(table, spec) == naive_cycle_type(table.tolist())
+
+    def test_every_instance_to_n16_matches_naive_walk(self):
+        for inst in enumerate_instances(16):
+            vt = value_table(inst)
+            expected = naive_cycle_type(vt.tolist())
+            assert cycle_structure(vt, inst.spec) == expected, inst
+            assert check(vt, inst.spec).cycle_type == expected, inst
 
 
 class TestModulusIndependence:
