@@ -7,13 +7,16 @@ a permutation, 2 parameter or hypothesis errors, 3 budget guard tripped
 All verdict-bearing output is deterministic: JSON objects have fixed key
 order and the search CSV is byte-identical for a fixed seed.  Evaluation
 runs on one thread; the ``--threads`` flag of ``verify`` and ``search`` is
-accepted and ignored.
+accepted and ignored.  ``search`` screens a pair table of sampled powers
+per e1, confirms the survivors in batches and writes each e1 block's rows
+as soon as the block is decided.
 """
 
 import argparse
 import json
 import sys
 import time
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -24,14 +27,15 @@ from .families import (
     check_gcd_identities,
     enumerate_params,
     instantiate,
-    trinomial_at_logs,
     value_table,
 )
 from .field import TABLE_DEGREE_LIMIT, FieldSpec, default_spec
 from .inverter import InversionError, invert
 from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
-SEARCH_DEGREE_LIMIT = 14
+SEARCH_DEGREE_LIMIT = 10
+CONFIRM_BATCH = 4096   # survivors per confirm step
+CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
 THREADS_HELP = "accepted and ignored: evaluation runs on one thread"
@@ -42,8 +46,7 @@ def _parse_modulus(text: str) -> FieldSpec:
         bits = int(text, 16)
     except ValueError:
         raise ValueError(f"modulus {text!r} is not valid hex") from None
-    n = bits.bit_length() - 1
-    return FieldSpec(n, bits)
+    return FieldSpec(bits.bit_length() - 1, bits)
 
 
 def _instance(args):
@@ -65,57 +68,66 @@ def _cmd_verify(args) -> int:
 
 def _cmd_invert(args) -> int:
     inst = _instance(args)
-    a = inst.spec.from_hex(args.a)
-    x, trace = invert(inst, a)
+    x, trace = invert(inst, inst.spec.from_hex(args.a))
     print(str(x))
     if args.trace:
         print(json.dumps(trace.to_json_dict()))
     return 0
 
 
-def _family_triples(n: int, spec: FieldSpec):
-    # reduced, strictly descending exponent triples of every family at this n
-    mult = spec.order - 1
+def _family_tags(n: int, spec: FieldSpec):
+    # "family,k,m" CSV tail of every family instance's reduced, strictly
+    # descending exponent triple at this n (the first instance wins)
     table = {}
     for family in FamilyId:
-        for n_found, params in enumerate_params(family, n):
-            if n_found != n:
-                continue
+        for params in [p for n_found, p in enumerate_params(family, n) if n_found == n]:
             inst = instantiate(family, params, spec)
             triple = tuple(sorted(inst.reduced_exponents(), reverse=True))
-            if len(set(triple)) == 3 and triple[0] <= mult - 1 and triple not in table:
-                table[triple] = (family.value, params.k, params.m)
+            if len(set(triple)) == 3 and triple[0] < spec.order - 1 and triple not in table:
+                table[triple] = f"{family.value},{params.k},{'' if params.m is None else params.m}"
     return table
 
 
-def _search_survivors(spec: FieldSpec, sample_count: int, seed: int):
-    """Quick-reject every exponent triple against seeded sample points and
-    return the survivors in canonical ascending order."""
+def _distinct_rows(vals):
+    # sorts a C-contiguous 2-D array's rows in place; True where a row has no repeat
+    vals.sort(axis=1)
+    same = np.empty(vals.shape, dtype=bool)
+    np.equal(vals.ravel()[1:], vals.ravel()[:-1], out=same.ravel()[:-1])
+    same[:, -1] = False   # each row's last pair straddles two rows
+    return ~same.any(axis=1)
+
+
+def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
+    """Screen every triple e1 > e2 > e3 >= 1 on seeded sample points and fully check the
+    survivors.  Set-up runs now; the iterator yields (e1, e2s, e3s, is_perm) per e1."""
     mult = spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
-    pts = np.array(sample_points(spec, sample_count, seed), dtype=np.uint32)
-    zero_sampled = bool((pts == 0).any())
-    nz = pts[pts != 0]
-    logs = log_np[nz].astype(np.uint64)
-    # P[e-1] = f_e over the sampled points, f_e(x) = x^e
-    P = exp_np[(np.arange(1, mult, dtype=np.uint64)[:, None] * logs[None, :]) % mult]
+    # pow[e-1, x] = x^e for e in [1, 2^n - 2] and every x (0^e = 0); at least
+    # 16 bits wide, since numpy sorts uint16 rows far faster than uint8 rows
+    pow_ = np.zeros((mult - 1, spec.order), np.uint16 if spec.n <= 16 else np.uint32)
+    pow_[:, 1:] = exp_np[np.outer(np.arange(1, mult), log_np[1:]) % mult]
+    cols = pow_[:, sample_points(spec, sample_count, seed)]
+    # pair[r] = x^e2 + x^e3 over e2 > e3 >= 1 in ascending (e2, e3) order,
+    # so the e1 block is its prefix of the rows with e2 < e1
+    i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
+    pair = cols[i2] ^ cols[i3]
+    work = np.empty_like(pair)
 
-    def survivors_for(e1: int):
-        # one e1 block per call, so its arrays are freed before the next
-        e2s = np.arange(2, e1, dtype=np.int64)
-        counts = e2s - 1
-        total = int(counts.sum())
-        e2_arr = np.repeat(e2s, counts)
-        offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        e3_arr = np.arange(total, dtype=np.int64) - np.repeat(offsets, counts) + 1
-        vals = P[e1 - 1][None, :] ^ P[e2_arr - 1] ^ P[e3_arr - 1]
-        if zero_sampled:
-            vals = np.concatenate([vals, np.zeros((total, 1), dtype=vals.dtype)], axis=1)
-        vs = np.sort(vals, axis=1)
-        clean = ~(vs[:, 1:] == vs[:, :-1]).any(axis=1)
-        return [(e1, int(e2_arr[i]), int(e3_arr[i])) for i in np.nonzero(clean)[0]]
-
-    return [row for e1 in range(3, mult) for row in survivors_for(e1)]
+    def blocks():
+        for e1 in range(3, mult):
+            size = (e1 - 1) * (e1 - 2) // 2
+            rows = np.flatnonzero(_distinct_rows(
+                np.bitwise_xor(pair[:size], cols[e1 - 1], out=work[:size])))
+            # full check: f permutes iff its values over the whole field are
+            # distinct; most survivors already collide on the first points
+            is_perm = np.zeros(rows.size, dtype=bool)
+            for s in range(0, rows.size, CONFIRM_BATCH):
+                tri = rows[s:s + CONFIRM_BATCH]
+                for table in (pow_[:, :CONFIRM_HEAD], pow_):
+                    tri = tri[_distinct_rows(table[i2[tri]] ^ table[i3[tri]] ^ table[e1 - 1])]
+                is_perm[np.searchsorted(rows, tri)] = True
+            yield e1, i2[rows] + 1, i3[rows] + 1, is_perm
+    return blocks()
 
 
 def _cmd_search(args) -> int:
@@ -123,33 +135,23 @@ def _cmd_search(args) -> int:
         raise ValueError("--n must be >= 2")
     if args.n > SEARCH_DEGREE_LIMIT and not args.force:
         raise BudgetExceededError(
-            f"full enumeration at n={args.n} exceeds the n <= "
-            f"{SEARCH_DEGREE_LIMIT} budget (rerun with --force)")
+            f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
+            f"(n = {SEARCH_DEGREE_LIMIT} takes over a minute and each further degree "
+            f"at least 8 times as long; rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")
-    exp_np, log_np = spec.exp_log_arrays()
-    logs = log_np[1:].astype(np.uint64)
-    fam_map = _family_triples(args.n, spec)
-    survivors = _search_survivors(spec, args.samples, args.seed)
-
-    stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    tags = _family_tags(args.n, spec)
+    blocks = _search_blocks(spec, args.samples, args.seed)
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
         stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
-                     f"seed={args.seed} samples={args.samples}\n")
-        stream.write("e1,e2,e3,is_permutation,family,k,m\n")
-        for e1, e2, e3 in survivors:
-            # full check over the domain: f(0) = 0, so the values at the
-            # nonzero points must be distinct and avoid 0
-            counts = np.bincount(trinomial_at_logs(exp_np, logs, (e1, e2, e3)),
-                                 minlength=spec.order)
-            perm = counts[0] == 0 and int(counts.max()) == 1
-            fam, k, m = fam_map.get((e1, e2, e3), ("", "", ""))
-            m = "" if m is None else m
-            stream.write(f"{e1},{e2},{e3},{str(perm).lower()},{fam},{k},{m}\n")
-    finally:
-        if args.out:
-            stream.close()
+                     f"seed={args.seed} samples={args.samples}\n"
+                     "e1,e2,e3,is_permutation,family,k,m\n")
+        for e1, e2s, e3s, is_perm in blocks:
+            stream.write("".join(
+                f"{e1},{e2},{e3},{'true' if perm else 'false'},"
+                f"{tags.get((e1, e2, e3), ',,')}\n"
+                for e2, e3, perm in zip(e2s.tolist(), e3s.tolist(), is_perm.tolist())))
     return 0
 
 
@@ -202,20 +204,18 @@ def _cmd_bench(args) -> int:
     spec = inst.spec
     if spec.n <= TABLE_DEGREE_LIMIT:
         spec.build_tables()
-    verify_ns = None
-    for _ in range(args.reps):
-        t0 = time.perf_counter_ns()
-        check(value_table(inst), spec, force=True)
-        dt = time.perf_counter_ns() - t0
-        verify_ns = dt if verify_ns is None else min(verify_ns, dt)
+
+    def best_ns(op):   # the fastest of --reps runs
+        runs = []
+        for _ in range(args.reps):
+            t0 = time.perf_counter_ns()
+            op()
+            runs.append(time.perf_counter_ns() - t0)
+        return min(runs)
     count = 1 << min(spec.n, 16)
-    per_op = None
-    for _ in range(args.reps):
-        t0 = time.perf_counter_ns()
-        for bits in range(count):
-            invert(inst, spec.element(bits % spec.order))
-        dt = (time.perf_counter_ns() - t0) / count
-        per_op = dt if per_op is None else min(per_op, dt)
+    verify_ns = best_ns(lambda: check(value_table(inst), spec, force=True))
+    per_op = best_ns(lambda: [invert(inst, spec.element(b % spec.order))
+                              for b in range(count)]) / count
     print(json.dumps({"verify_ns": verify_ns, "invert_ns_per_op": per_op}))
     return 0
 

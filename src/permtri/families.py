@@ -211,21 +211,6 @@ def trinomial_bits(spec: FieldSpec, exponents, x: int) -> int:
     return spec.pow(x, e1) ^ spec.pow(x, e2) ^ spec.pow(x, e3)
 
 
-def trinomial_at_logs(exp_np, logs, exponents):
-    """x^e1 + x^e2 + x^e3 at the nonzero points with discrete logs ``logs``
-    (the array kernel).
-
-    ``exp_np`` is the antilog array from ``FieldSpec.exp_log_arrays``,
-    ``logs`` a uint64 array and ``exponents`` reduced into [1, 2^n - 1], so
-    that each product stays far below 2^64.
-    """
-    mult = exp_np.size
-    e1, e2, e3 = exponents
-    return (exp_np[(e1 * logs) % mult]
-            ^ exp_np[(e2 * logs) % mult]
-            ^ exp_np[(e3 * logs) % mult])
-
-
 def evaluate(inst: FamilyInstance, x: FieldElement) -> FieldElement:
     """f(x) = x^e1 + x^e2 + x^e3 at a single point."""
     if x.spec != inst.spec:
@@ -236,17 +221,18 @@ def evaluate(inst: FamilyInstance, x: FieldElement) -> FieldElement:
 def value_table(inst: FamilyInstance):
     """f over the whole field as a numpy uint32 array indexed by x.bits.
 
-    Uses the log/antilog array kernel for n <= TABLE_DEGREE_LIMIT (the
-    table build is cached on the FieldSpec) and the scalar kernel, one
-    element at a time, above that.
+    Uses antilog-table gathers for n <= TABLE_DEGREE_LIMIT (the table
+    build is cached on the FieldSpec) and the scalar kernel, one element
+    at a time, above that.
     """
     spec = inst.spec
     reduced = inst.reduced_exponents()
-    out = np.empty(spec.order, dtype=np.uint32)
-    out[0] = 0  # all exponents >= 1
+    out = np.zeros(spec.order, dtype=np.uint32)   # f(0) = 0: all exponents >= 1
     if spec.n <= TABLE_DEGREE_LIMIT:
         exp_np, log_np = spec.exp_log_arrays()
-        out[1:] = trinomial_at_logs(exp_np, log_np[1:].astype(np.uint64), reduced)
+        logs = log_np[1:].astype(np.uint64)
+        for e in reduced:   # x^e = exp[e * log x mod 2^n - 1], e <= 2^n - 1
+            out[1:] ^= exp_np[(e * logs) % exp_np.size]
     else:
         out[1:] = np.fromiter(
             (trinomial_bits(spec, reduced, x) for x in range(1, spec.order)),

@@ -188,10 +188,24 @@ def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:
     """Exact preimage map from one exhaustive pass (n <= 20 unless forced)."""
     guard_budget(spec, force, "inverse table", TABLE_DEGREE_LIMIT)
     values = _as_values(f, spec)
-    mapping: dict[int, list[int]] = {}
-    for x, v in enumerate(values.tolist()):
-        mapping.setdefault(v, []).append(x)
-    return InverseTable(spec, {v: tuple(xs) for v, xs in mapping.items()})
+    # Sorting the (value, x) pairs lists each value's preimages in ascending
+    # order.  The groups are taken in the order of their first preimage, the
+    # order a scan over ascending x meets the values, and become tuples one
+    # group size at a time, from min(groups, size) lists rather than a list
+    # per group.
+    pairs = np.sort(values.astype(np.uint64) << 32 | np.arange(values.size, dtype=np.uint64))
+    vs, xs = pairs >> 32, pairs & 0xFFFFFFFF
+    starts = np.flatnonzero(np.r_[True, vs[1:] != vs[:-1]])
+    sizes = np.diff(np.r_[starts, vs.size])
+    by_first = np.argsort(xs[starts])
+    starts, sizes = starts[by_first], sizes[by_first]
+    groups = np.empty(starts.size, dtype=object)
+    for size in np.unique(sizes).tolist():
+        at = np.flatnonzero(sizes == size)
+        members = xs[starts[at, None] + np.arange(size)]   # one row per group
+        tuples = zip(*members.T.tolist()) if at.size >= size else map(tuple, members.tolist())
+        groups[at] = np.fromiter(tuples, dtype=object, count=at.size)
+    return InverseTable(spec, dict(zip(vs[starts].tolist(), groups.tolist())))
 
 
 def quick_reject(f, spec: FieldSpec, sample_count: int, seed: int):

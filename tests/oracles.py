@@ -5,6 +5,8 @@ Everything here is deliberately written on a different representation
 the package's bit-packed fast paths is meaningful.
 """
 
+import functools
+
 
 def poly_to_coeffs(bits: int) -> list[int]:
     return [(bits >> i) & 1 for i in range(bits.bit_length())] or [0]
@@ -96,3 +98,65 @@ def naive_cycle_type(table) -> tuple[tuple[int, int], ...]:
         if length:
             counts[length] = counts.get(length, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def naive_inverse_table(values) -> dict[int, tuple[int, ...]]:
+    """Preimage map by one scan over ascending x: each value is keyed when
+    its first preimage is met, and its preimages are listed in order."""
+    mapping: dict[int, list[int]] = {}
+    for x, v in enumerate(values):
+        mapping.setdefault(int(v), []).append(x)
+    return {v: tuple(xs) for v, xs in mapping.items()}
+
+
+@functools.lru_cache(maxsize=None)
+def _naive_powers(spec) -> dict[int, list[int]]:
+    """x^e over the whole field by FieldElement powers, for e in [1, 2^n - 2]."""
+    return {e: [(spec.element(x) ** e).bits for x in range(spec.order)]
+            for e in range(1, spec.order - 1)}
+
+
+@functools.lru_cache(maxsize=None)
+def naive_verdict(spec, e1: int, e2: int, e3: int) -> bool:
+    """Whether x^e1 + x^e2 + x^e3 permutes the field, by ``permcheck.check``."""
+    from permtri.permcheck import check
+
+    power = _naive_powers(spec)
+    f = [a ^ b ^ c for a, b, c in zip(power[e1], power[e2], power[e3])]
+    return check(f, spec).is_permutation
+
+
+def naive_search_csv(spec, samples: int, seed: int) -> str:
+    """The ``permtri search`` CSV for ``spec``, from scalar pieces: x^e by
+    FieldElement powers, a triple survives when its values on the seeded
+    sample (f(0) = 0 included when 0 is drawn) are pairwise distinct, and
+    ``permcheck.check`` gives the verdict."""
+    from permtri.families import FamilyId, enumerate_params, instantiate
+    from permtri.permcheck import sample_points
+
+    mult = spec.order - 1
+    power = _naive_powers(spec)
+    tags = {}
+    for family in FamilyId:
+        for n, params in enumerate_params(family, spec.n):
+            if n != spec.n:
+                continue
+            triple = tuple(sorted(instantiate(family, params, spec).reduced_exponents(),
+                                  reverse=True))
+            if len(set(triple)) == 3 and triple[0] < mult and triple not in tags:
+                m = "" if params.m is None else params.m
+                tags[triple] = f"{family.value},{params.k},{m}"
+    points = sample_points(spec, samples, seed)
+    lines = [f"# permtri search n={spec.n} modulus=0x{spec.modulus:x} "
+             f"seed={seed} samples={samples}",
+             "e1,e2,e3,is_permutation,family,k,m"]
+    for e1 in range(3, mult):
+        for e2 in range(2, e1):
+            for e3 in range(1, e2):
+                values = {power[e1][x] ^ power[e2][x] ^ power[e3][x] for x in points}
+                if len(values) < len(points):
+                    continue
+                perm = naive_verdict(spec, e1, e2, e3)
+                tag = tags.get((e1, e2, e3), ",,")
+                lines.append(f"{e1},{e2},{e3},{str(perm).lower()},{tag}")
+    return "\n".join(lines) + "\n"

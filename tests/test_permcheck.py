@@ -14,7 +14,7 @@ from permtri.permcheck import (
     inverse_table,
     quick_reject,
 )
-from oracles import naive_cycle_type
+from oracles import naive_cycle_type, naive_inverse_table
 
 F8 = default_spec(3)
 
@@ -124,6 +124,36 @@ class TestInverseTable:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             inverse_table(lambda e: e, FieldSpec(21))
+
+    @staticmethod
+    def assert_matches_naive_scan(values, spec):
+        table = inverse_table(np.array(values, dtype=np.uint32), spec)
+        ref = naive_inverse_table(values)
+        # the mapping itself: same keys in the same (first-preimage) order,
+        # Python ints throughout, ascending preimage tuples
+        assert table._map == ref
+        assert list(table.attained()) == list(ref)
+        assert all(type(v) is int for v in table.attained())
+        assert all(type(x) is int for xs in table._map.values() for x in xs)
+        assert table.all_singletons == all(len(xs) == 1 for xs in ref.values())
+        assert len(table) == len(ref)
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_extreme_shapes_match_naive_scan(self, n):
+        spec = default_spec(n)
+        self.assert_matches_naive_scan(list(range(spec.order)), spec)   # identity
+        self.assert_matches_naive_scan([3 % spec.order] * spec.order, spec)   # constant
+        square_plus_x = [artin_schreier(spec.element(x)).bits for x in range(spec.order)]
+        self.assert_matches_naive_scan(square_plus_x, spec)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_random_tables_match_naive_scan(self, n):
+        spec = default_spec(n)
+        rng = random.Random(n)
+        for span in (2, spec.order // 2 + 1, spec.order):
+            # values drawn from [0, span): collisions of every multiplicity
+            values = [rng.randrange(span) for _ in range(spec.order)]
+            self.assert_matches_naive_scan(values, spec)
 
 
 class TestQuickReject:
