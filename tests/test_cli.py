@@ -166,6 +166,34 @@ class TestSearch:
         rc, out, err = run(capsys, "search", "--n", "11")
         assert rc == 3 and "budget" in err and out == ""
 
+    def test_family_tagged_rows_reinstantiate(self, capsys):
+        # a family tag on a row must reproduce that row's reduced triple
+        rc, out, _ = run(capsys, "search", "--n", "8")
+        assert rc == 0
+        tagged = 0
+        for line in out.splitlines()[2:]:
+            e1, e2, e3, perm, fam, k, m = line.split(",")
+            if not fam:
+                continue
+            tagged += 1
+            inst = instantiate(fam, k=int(k), m=int(m) if m else None)
+            triple = tuple(sorted(inst.reduced_exponents(), reverse=True))
+            assert triple == (int(e1), int(e2), int(e3))
+            assert perm == "true"
+        assert tagged == 6   # F4 k=3, F5 k=3, F6 m=2 k in {1,3,5,7}
+
+    def test_search_rows_verified_against_check(self, capsys):
+        # every row's verdict must match an independent exhaustive check
+        rc, out, _ = run(capsys, "search", "--n", "5")
+        assert rc == 0
+        spec = default_spec(5)
+        spec.build_tables()
+        rows = [line.split(",") for line in out.splitlines()[2:]]
+        assert rows
+        for e1, e2, e3, perm, *_ in rows[:200]:
+            f = lambda e: e ** int(e1) + e ** int(e2) + e ** int(e3)
+            assert check(f, spec).is_permutation == (perm == "true")
+
     def test_n8_verdicts_match_naive_check(self, capsys):
         rc, out, _ = run(capsys, "search", "--n", "8")
         assert rc == 0
