@@ -32,7 +32,7 @@ basis = kernel(M)
 print(f"  kernel dimension: {len(basis)} (the prime subfield: gcd(3,8)=1)")
 
 # Affine equations L(v) = rhs: the solution set is a coset of the kernel,
-# computed exactly by Gaussian elimination on bit-packed rows
+# computed exactly by one column reduction of the bit-packed matrix
 rhs = F256.element(0x1C)
 sols = solve_affine(L, rhs)
 print(f"\nsolve v^8 + v = 0x1c: {len(sols)} solutions "

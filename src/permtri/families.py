@@ -231,8 +231,10 @@ def value_table(inst: FamilyInstance):
     if spec.n <= TABLE_DEGREE_LIMIT:
         exp_np, log_np = spec.exp_log_arrays()
         logs = log_np[1:].astype(np.uint64)
+        idx = np.empty_like(logs)
         for e in reduced:   # x^e = exp[e * log x mod 2^n - 1], e <= 2^n - 1
-            out[1:] ^= exp_np[(e * logs) % exp_np.size]
+            np.remainder(np.multiply(logs, e, out=idx), exp_np.size, out=idx)
+            out[1:] ^= exp_np[idx]
     else:
         out[1:] = np.fromiter(
             (trinomial_bits(spec, reduced, x) for x in range(1, spec.order)),

@@ -12,10 +12,11 @@ Two multiplication routes exist:
 
 * ``mul_baseline`` -- portable shift-and-XOR with modular reduction,
 * log/antilog tables over a multiplicative generator, built on demand for
-  n <= 20 via ``build_tables``: numpy arrays filled block by block with
-  GF(2)-linear doubling steps (no per-element loop), plus Python-list
-  copies for the scalar route.  Once built, ``mul``/``inv``/``pow`` become
-  O(1) list lookups and must agree bit-exactly with the baseline.
+  n <= 20 via ``build_tables``: two read-only numpy arrays filled block by
+  block with GF(2)-linear doubling steps (no per-element loop).  The
+  scalar route indexes memoryviews of the same two buffers, so once built,
+  ``mul``/``inv``/``pow`` are O(1) lookups that yield Python ints; they
+  must agree bit-exactly with the baseline.
 
 ``DEFAULT_MODULI`` pins one modulus per degree 2..32: the irreducible
 polynomial with the smallest integer encoding.  Degree 8 is the familiar
@@ -346,9 +347,11 @@ class FieldSpec:
         The antilog array is filled by doubling, exp[s:2s] = exp[:s] * g^s:
         multiplying by a constant is GF(2)-linear, so each block is the XOR
         of the constant's n basis images picked by the bits of exp[:s].  The
-        log array is the scatter log[exp[i]] = i; log[0] stays unused.  The
-        scalar route indexes Python-list copies, with exp stored doubled so
-        a log-sum below 2(2^n - 1) indexes without a modulo.
+        log array is the scatter log[exp[i]] = i; log[0] stays unused.  exp
+        is stored doubled, so a log-sum below 2(2^n - 1) indexes without a
+        modulo.  Both arrays are read-only: the scalar route indexes
+        memoryviews of them, whose items are Python ints, so log[a] * e
+        cannot wrap in uint32.
         """
         if self._exp is not None:
             return
@@ -359,7 +362,8 @@ class FieldSpec:
                 return
             g = self.generator()
             m = self.order - 1
-            exp = np.zeros(m, dtype=np.uint32)
+            exp2 = np.zeros(2 * m, dtype=np.uint32)
+            exp = exp2[:m]
             exp[0] = 1
             s, g_s = 1, g
             while s < m:
@@ -375,20 +379,19 @@ class FieldSpec:
                                  f"group of {self!r}")
             log = np.zeros(self.order, dtype=np.uint32)
             log[exp] = np.arange(m, dtype=np.uint32)
-            self._exp_np, self._log_np = exp, log
-            # one Python int per residue, shared by both list copies: half
-            # the int objects of two independent .tolist() calls
-            ints = np.arange(self.order, dtype=object)
-            self._log = ints[log].tolist()
-            self._exp = ints[exp].tolist() * 2
+            exp2[m:] = exp
+            exp2.flags.writeable = log.flags.writeable = False
+            self._exp_np, self._log_np = exp2[:m], log
+            self._log = memoryview(log)
+            self._exp = memoryview(exp2)
 
     @property
     def tables_built(self) -> bool:
         return self._exp is not None
 
     def exp_log_arrays(self):
-        """(exp, log) numpy uint32 arrays from ``build_tables``; exp has
-        length 2^n - 1 (index by log mod 2^n - 1)."""
+        """(exp, log) read-only numpy uint32 arrays from ``build_tables``;
+        exp has length 2^n - 1 (index by log mod 2^n - 1)."""
         self.build_tables()
         return self._exp_np, self._log_np
 

@@ -3,9 +3,12 @@
 A linearized polynomial sum_j c_j x^(2^j) induces an F2-linear map on
 F_{2^n}; affine equations L(x) = b therefore reduce to bit-matrix systems.
 Matrices are kept bit-packed: an n x n matrix is a tuple of n column ints
-(column i = image of the basis monomial X^i), and Gaussian elimination
-works on machine-word row XORs with the pivot always taken at the lowest
-available index, so kernels and particular solutions are reproducible.
+(column i = image of the basis monomial X^i).  A system is solved by one
+pass over the columns in ascending order, reducing each against an XOR
+basis of the earlier ones.  The particular solution is the one that is zero
+on every dependent ("free") column, and the kernel basis has one vector per
+free column with no other free bit set, in ascending order, so both are
+unique and reproducible.
 """
 
 from .field import FieldElement, FieldSpec
@@ -85,19 +88,6 @@ class BitMatrix:
     def apply(self, x: FieldElement) -> FieldElement:
         return FieldElement(self.spec, self.apply_bits(x.bits))
 
-    def rows(self) -> list[int]:
-        """Bit-packed rows (row r bit i = entry (r, i)); transpose of cols."""
-        n = self.spec.n
-        out = [0] * n
-        for i, col in enumerate(self.cols):
-            r = 0
-            while col:
-                if col & 1:
-                    out[r] |= 1 << i
-                col >>= 1
-                r += 1
-        return out
-
 
 def matrix_of(L: LinearizedPoly) -> BitMatrix:
     """Matrix of the induced F2-linear map: column i = L(X^i)."""
@@ -154,63 +144,38 @@ class AffineSolutionSet:
                 f"kernel_dim={len(self.kernel_basis)})")
 
 
-def _rref(n: int, rows: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    # In-place reduced row echelon form over the low n columns; any augment
-    # bits ride along above bit n-1.  Pivots chosen at the lowest free
-    # column, scanning rows top-down: fully deterministic.
-    pivots = []
-    rank = 0
-    for col in range(n):
-        bit = 1 << col
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r] & bit:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r] & bit:
-                rows[r] ^= prow
-        pivots.append((rank, col))
-        rank += 1
-    return rows, pivots
-
-
 def _solve_bits(M: BitMatrix, b: int) -> tuple[int | None, list[int]]:
+    # vec[t] is the basis vector with top bit t (0: none yet) and pre[t] a
+    # preimage of it.  Preimages combine only the independent columns, so a
+    # column that reduces to zero leaves the kernel vector with its own free
+    # bit alone, and reducing b leaves the solution zero on free columns.
     n = M.spec.n
-    rows = M.rows()
-    for r in range(n):
-        rows[r] |= ((b >> r) & 1) << n
-    rows, pivots = _rref(n, rows)
-    for r in range(len(pivots), n):
-        if rows[r] >> n:           # 0 = 1: inconsistent
-            return None, _kernel_from_rref(n, rows, pivots)
-    particular = 0
-    for r, c in pivots:
-        if rows[r] >> n:
-            particular |= 1 << c
-    return particular, _kernel_from_rref(n, rows, pivots)
-
-
-def _kernel_from_rref(n: int, rows: list[int], pivots) -> list[int]:
-    pivot_cols = {c for _, c in pivots}
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        v = 1 << free
-        for r, c in pivots:
-            if (rows[r] >> free) & 1:
-                v |= 1 << c
-        basis.append(v)
-    return basis
+    vec = [0] * n
+    pre = [0] * n
+    kernel_bits = []
+    for i, col in enumerate(M.cols):
+        x = 1 << i
+        while col:
+            t = col.bit_length() - 1
+            if not vec[t]:
+                vec[t], pre[t] = col, x
+                break
+            col ^= vec[t]
+            x ^= pre[t]
+        else:
+            kernel_bits.append(x)
+    x = 0
+    while b:
+        t = b.bit_length() - 1
+        if not vec[t]:             # b is outside the image
+            return None, kernel_bits
+        b ^= vec[t]
+        x ^= pre[t]
+    return x, kernel_bits
 
 
 def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
-    """Exact solution set of L(x) = b via Gaussian elimination.
+    """Exact solution set of L(x) = b by column reduction of matrix_of(L).
 
     Returns the empty set when b is not in the image; otherwise a coset of
     ker L with 2^dim(ker) elements.
@@ -225,6 +190,4 @@ def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
 
 def kernel(M: BitMatrix) -> list[FieldElement]:
     """Basis of the null space of M; empty iff M is invertible."""
-    spec = M.spec
-    rows, pivots = _rref(spec.n, M.rows())
-    return [FieldElement(spec, v) for v in _kernel_from_rref(spec.n, rows, pivots)]
+    return [FieldElement(M.spec, v) for v in _solve_bits(M, 0)[1]]

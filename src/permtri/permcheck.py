@@ -170,14 +170,18 @@ def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
     # 2^j points of x's orbit and step = f^(2^j).  A round changes nothing
     # exactly when every cycle is covered; each cycle is then labelled by
     # its minimum (its head), so bincount(label) holds the cycle lengths.
+    # The rounds reuse four buffers: take() writes straight into ``out``
+    # only in a mode other than "raise", and "clip" never changes an index
+    # here because _as_values bounds every entry.
     label = np.arange(values.size, dtype=np.uint32)
-    step = values
+    step = values.copy()
+    nxt, buf = np.empty_like(label), np.empty_like(label)
     while True:
-        nxt = np.minimum(label, label[step])
+        np.minimum(label, np.take(label, step, out=nxt, mode="clip"), out=nxt)
         if np.array_equal(nxt, label):
             break
-        label = nxt
-        step = step[step]
+        label, nxt = nxt, label
+        step, buf = np.take(step, step, out=buf, mode="clip"), step
     sizes = np.bincount(label)
     by_length = np.bincount(sizes[sizes > 0])
     return tuple((int(length), int(by_length[length]))

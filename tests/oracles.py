@@ -75,6 +75,67 @@ def brute_force_affine_solutions(L, b) -> set[int]:
     return {x for x in range(spec.order) if L.eval_bits(x) == b.bits}
 
 
+def _rref(n: int, rows: list[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    # In-place reduced row echelon form over the low n columns; any augment
+    # bits ride along above bit n-1.  Pivots chosen at the lowest free
+    # column, scanning rows top-down: fully deterministic.
+    pivots = []
+    rank = 0
+    for col in range(n):
+        bit = 1 << col
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r] & bit:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r] & bit:
+                rows[r] ^= prow
+        pivots.append((rank, col))
+        rank += 1
+    return rows, pivots
+
+
+def _kernel_from_rref(n: int, rows: list[int], pivots) -> list[int]:
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for free in range(n):
+        if free in pivot_cols:
+            continue
+        v = 1 << free
+        for r, c in pivots:
+            if (rows[r] >> free) & 1:
+                v |= 1 << c
+        basis.append(v)
+    return basis
+
+
+def rref_solve_bits(M, b: int) -> tuple[int | None, list[int]]:
+    """(particular, kernel basis) of M x = b by Gaussian elimination on the
+    bit-packed rows: pivots at the lowest column, the particular solution
+    zero on free columns, one kernel vector per free column in order."""
+    n = M.spec.n
+    rows = [0] * n                 # row r bit i = entry (r, i)
+    for i, col in enumerate(M.cols):
+        for r in range(n):
+            rows[r] |= ((col >> r) & 1) << i
+    for r in range(n):
+        rows[r] |= ((b >> r) & 1) << n
+    rows, pivots = _rref(n, rows)
+    for r in range(len(pivots), n):
+        if rows[r] >> n:           # 0 = 1: inconsistent
+            return None, _kernel_from_rref(n, rows, pivots)
+    particular = 0
+    for r, c in pivots:
+        if rows[r] >> n:
+            particular |= 1 << c
+    return particular, _kernel_from_rref(n, rows, pivots)
+
+
 def exhaustive_inverse(spec, nonzero_inv_of: int) -> int:
     """Multiplicative inverse by scanning for the partner with product 1."""
     for y in range(1, spec.order):

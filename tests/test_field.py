@@ -95,10 +95,18 @@ class TestMul:
     def test_table_route_bit_exact_random(self, n, modulus):
         spec = default_spec(n) if modulus is None else FieldSpec(n, modulus)
         spec.build_tables()
+        plain = FieldSpec(n, modulus)  # never builds tables: baseline route
         rng = random.Random(2000 + n)
         for _ in range(2000):
             a, b = rng.randrange(spec.order), rng.randrange(spec.order)
             assert spec.mul(a, b) == spec.mul_baseline(a, b)
+            # at n = 20, log[a] * (e mod 2^n - 1) reaches 2^40, which would
+            # wrap if the table route multiplied uint32 items
+            e = rng.randrange(1 << 64)
+            assert spec.pow(a, e) == plain.pow(a, e)
+            if a:
+                assert spec.inv(a) == plain.inv(a)
+        assert not plain.tables_built
 
 
 class TestInv:
@@ -377,9 +385,20 @@ class TestSpecAndElements:
             for _ in range(m - 1):
                 powers.append(spec.mul_baseline(powers[-1], g))
             assert exp_np.tolist() == powers
-            assert spec._exp == powers + powers
-            assert log_np[1:].tolist() == spec._log[1:]
+            assert spec._exp.tolist() == powers + powers
+            assert log_np[1:].tolist() == spec._log[1:].tolist()
             assert [spec._log[v] for v in powers] == list(range(m))
+
+    def test_tables_read_only(self):
+        # the scalar route indexes the same buffers the arrays expose
+        spec = FieldSpec(6)
+        exp_np, log_np = spec.exp_log_arrays()
+        for arr in (exp_np, log_np):
+            with pytest.raises(ValueError):
+                arr[1] = 0
+            with pytest.raises(ValueError):
+                arr ^= 1
+        assert all(spec.mul(a, 3) == spec.mul_baseline(a, 3) for a in range(spec.order))
 
     def test_table_build_rejects_non_generator(self):
         spec = FieldSpec(4)

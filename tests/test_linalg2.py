@@ -8,11 +8,12 @@ from permtri.linalg2 import (
     AffineSolutionSet,
     BitMatrix,
     LinearizedPoly,
+    _solve_bits,
     kernel,
     matrix_of,
     solve_affine,
 )
-from oracles import brute_force_affine_solutions
+from oracles import brute_force_affine_solutions, rref_solve_bits
 
 F8 = default_spec(3)
 
@@ -78,13 +79,6 @@ class TestMatrixOf:
             for x in range(spec.order):
                 assert M.apply_bits(x) == L.eval_bits(x)
 
-    def test_rows_transpose(self):
-        M = BitMatrix(F8, (0b011, 0b101, 0b110))
-        rows = M.rows()
-        for r in range(3):
-            for c in range(3):
-                assert (rows[r] >> c) & 1 == (M.cols[c] >> r) & 1
-
 
 class TestSolveAffine:
     def test_frobenius_unique_solution(self):
@@ -138,6 +132,46 @@ class TestSolveAffine:
             for s1 in sols[:8]:
                 for s2 in sols[:8]:
                     assert (s1.bits ^ s2.bits) in span
+
+
+def random_matrix(spec, rng, rank):
+    # columns are random combinations of ``rank`` independent vectors
+    # (distinct top bits), so the matrix has exactly that rank
+    gens = [(1 << t) | rng.randrange(1 << t) for t in rng.sample(range(spec.n), rank)]
+    cols = []
+    for _ in range(spec.n):
+        c = 0
+        for g in gens:
+            if rng.random() < 0.5:
+                c ^= g
+        cols.append(c)
+    # the rank is reached: each generator appears alone in one column
+    for g, i in zip(gens, rng.sample(range(spec.n), rank)):
+        cols[i] = g
+    for _ in range(2 * spec.n):    # column operations keep the rank
+        i, j = rng.sample(range(spec.n), 2)
+        cols[i] ^= cols[j]
+    return BitMatrix(spec, cols)
+
+
+class TestSolverAgainstRref:
+    # identical (particular, kernel) tuples, kernel order included: equal
+    # solution sets alone would miss a reordered or differently spanned basis
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_identical_to_rref(self, n):
+        spec = default_spec(n)
+        rng = random.Random(31000 + n)
+        inconsistent = 0
+        for rank in (n, n, n - 1, n // 2, 1, 0):
+            for _ in range(8):
+                M = random_matrix(spec, rng, rank)
+                x = rng.randrange(spec.order)
+                for b in (M.apply_bits(x), rng.randrange(spec.order), 0):
+                    want = rref_solve_bits(M, b)
+                    assert _solve_bits(M, b) == want
+                    inconsistent += want[0] is None
+                assert [v.bits for v in kernel(M)] == rref_solve_bits(M, 0)[1]
+        assert inconsistent > 0
 
 
 class TestKernel:
