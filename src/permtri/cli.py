@@ -1,4 +1,4 @@
-"""Command-line front end: verify, invert, search, gcd-suite, families, bench.
+"""Command-line front end: verify, invert, search, gcd-suite, families.
 
 Exit codes: 0 success (for ``verify``: the map permutes), 1 checked but not
 a permutation, 2 parameter or hypothesis errors, 3 budget guard tripped
@@ -15,10 +15,7 @@ as soon as the block is decided.
 import argparse
 import json
 import sys
-import time
 from contextlib import nullcontext
-
-import numpy as np
 
 from .families import (
     ConditionViolatedError,
@@ -29,7 +26,7 @@ from .families import (
     instantiate,
     value_table,
 )
-from .field import TABLE_DEGREE_LIMIT, FieldSpec, default_spec
+from .field import FieldSpec, default_spec
 from .inverter import InversionError, invert
 from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
@@ -90,6 +87,7 @@ def _family_tags(n: int, spec: FieldSpec):
 
 def _distinct_rows(vals):
     # sorts a C-contiguous 2-D array's rows in place; True where a row has no repeat
+    import numpy as np
     vals.sort(axis=1)
     same = np.empty(vals.shape, dtype=bool)
     np.equal(vals.ravel()[1:], vals.ravel()[:-1], out=same.ravel()[:-1])
@@ -100,6 +98,7 @@ def _distinct_rows(vals):
 def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     """Screen every triple e1 > e2 > e3 >= 1 on seeded sample points and fully check the
     survivors.  Set-up runs now; the iterator yields (e1, e2s, e3s, is_perm) per e1."""
+    import numpy as np
     mult = spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
     # pow[e-1, x] = x^e for e in [1, 2^n - 2] and every x (0^e = 0); at least
@@ -197,29 +196,6 @@ def _cmd_families(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    if args.reps < 1:
-        raise ValueError("--reps must be >= 1")
-    inst = _instance(args)
-    spec = inst.spec
-    if spec.n <= TABLE_DEGREE_LIMIT:
-        spec.build_tables()
-
-    def best_ns(op):   # the fastest of --reps runs
-        runs = []
-        for _ in range(args.reps):
-            t0 = time.perf_counter_ns()
-            op()
-            runs.append(time.perf_counter_ns() - t0)
-        return min(runs)
-    count = 1 << min(spec.n, 16)
-    verify_ns = best_ns(lambda: check(value_table(inst), spec, force=True))
-    per_op = best_ns(lambda: [invert(inst, spec.element(b % spec.order))
-                              for b in range(count)]) / count
-    print(json.dumps({"verify_ns": verify_ns, "invert_ns_per_op": per_op}))
-    return 0
-
-
 def _add_instance_flags(p, need_a=False):
     p.add_argument("--family", required=True, choices=[f.value for f in FamilyId])
     p.add_argument("--k", type=int, required=True)
@@ -267,11 +243,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=None, dest="n_max")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_families)
-
-    p = sub.add_parser("bench", help="time verification and inversion")
-    _add_instance_flags(p)
-    p.add_argument("--reps", type=int, default=3)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

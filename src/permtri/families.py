@@ -22,8 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, default_spec
 
 
@@ -225,6 +223,7 @@ def value_table(inst: FamilyInstance):
     build is cached on the FieldSpec) and the scalar kernel, one element
     at a time, above that.
     """
+    import numpy as np
     spec = inst.spec
     reduced = inst.reduced_exponents()
     out = np.zeros(spec.order, dtype=np.uint32)   # f(0) = 0: all exponents >= 1

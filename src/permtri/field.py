@@ -8,15 +8,17 @@ multiplicative group has order 2^n - 1, which is why exponents may be
 reduced mod 2^n - 1 for nonzero bases (exponents themselves are plain
 Python ints and may be arbitrarily large).
 
-Two multiplication routes exist:
+Three routes give the same values bit for bit:
 
-* ``mul_baseline`` -- portable shift-and-XOR with modular reduction,
-* log/antilog tables over a multiplicative generator, built on demand for
-  n <= 20 via ``build_tables``: two read-only numpy arrays filled block by
-  block with GF(2)-linear doubling steps (no per-element loop).  The
-  scalar route indexes memoryviews of the same two buffers, so once built,
-  ``mul``/``inv``/``pow`` are O(1) lookups that yield Python ints; they
-  must agree bit-exactly with the baseline.
+* log/antilog tables (n <= 20, ``build_tables``): two read-only numpy
+  arrays filled by GF(2)-linear doubling, indexed through memoryviews, so
+  ``mul``/``inv``/``pow``/``frobenius`` are O(1) lookups of Python ints;
+* byte-sliced tables, for every spec without log tables: a GF(2)-linear
+  map kept as ceil(n/8) uint32 ``array`` tables (no numpy), one per byte
+  of its argument.  Frobenius powers and squarings are ceil(n/8) lookups,
+  ``mul`` is a 4-bit windowed comb whose high half is reduced by such a
+  table, and ``inv`` is the extended Euclid algorithm on the polynomials;
+* ``mul_baseline``, portable shift-and-XOR: the reference for both.
 
 ``DEFAULT_MODULI`` pins one modulus per degree 2..32: the irreducible
 polynomial with the smallest integer encoding.  Degree 8 is the familiar
@@ -24,9 +26,9 @@ polynomial with the smallest integer encoding.  Degree 8 is the familiar
 """
 
 import functools
+import itertools
 import threading
-
-import numpy as np
+from array import array
 
 MIN_DEGREE = 2
 MAX_DEGREE = 32
@@ -113,6 +115,26 @@ def _x_pow_2e(j: int, m: int) -> int:
     return r
 
 
+def _byte_tables(images: list[int]) -> tuple:
+    """Read-only uint32 tables of the GF(2)-linear map sending X^i to images[i]:
+    x maps to the XOR over p of tables[p][byte p of x] (see ``_apply``)."""
+    tables = []
+    for p in range(0, len(images), 8):
+        t = [0]
+        for image in images[p:p + 8]:
+            t += [v ^ image for v in t]
+        tables.append(memoryview(array("I", t)).toreadonly())
+    return tuple(tables)
+
+
+def _apply(tables, x: int) -> int:
+    r = 0
+    for t in tables:
+        r ^= t[x & 255]
+        x >>= 8
+    return r
+
+
 def is_irreducible(poly: int) -> bool:
     """Rabin irreducibility test for a GF(2) polynomial given as a bit int.
 
@@ -166,13 +188,14 @@ class FieldSpec:
     """A concrete realization of F_{2^n} = F_2[X]/(modulus).
 
     Immutable after construction and safe to share across threads; all
-    arithmetic methods are pure functions of their int arguments.  The
-    log/antilog tables and the Frobenius basis images are caches built at
-    most once under a lock.
+    arithmetic methods are pure functions of their int arguments.  They
+    use the log tables once ``build_tables`` has run (n <= 20), and the
+    byte-sliced tables otherwise (built with the spec, or on first use
+    under a lock); ``mul_baseline`` is the reference for both.
     """
 
     __slots__ = ("n", "modulus", "order", "_exp", "_log", "_exp_np",
-                 "_log_np", "_generator", "_frob_basis", "_lock")
+                 "_log_np", "_generator", "_cube_root", "_frob", "_red", "_lock")
 
     def __init__(self, n: int, modulus: int | None = None):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
@@ -195,7 +218,10 @@ class FieldSpec:
         self._exp_np = None
         self._log_np = None
         self._generator = None
-        self._frob_basis = {}
+        self._cube_root = None
+        # byte-sliced tables of x -> x^(2^j) by j, and of h -> h * X^n (h < 2^(n-1))
+        self._frob = {1: _byte_tables([_poly_mod(1 << 2 * i, modulus) for i in range(n)])}
+        self._red = _byte_tables([_poly_mod(1 << i, modulus) for i in range(n, 2 * n - 1)])
         self._lock = threading.RLock()
 
     def __repr__(self):
@@ -238,7 +264,7 @@ class FieldSpec:
         return a ^ b
 
     def mul_baseline(self, a: int, b: int) -> int:
-        """Shift-and-XOR product with modular reduction (portable route)."""
+        """Shift-and-XOR product with modular reduction (the reference)."""
         r = 0
         mod = self.modulus
         top = 1 << self.n
@@ -252,13 +278,23 @@ class FieldSpec:
         return r
 
     def mul(self, a: int, b: int) -> int:
-        """Product of two residues; table route when tables are built."""
+        """Product of two residues: log-table lookup, else a windowed comb."""
         exp = self._exp
         if exp is not None:
             if a == 0 or b == 0:
                 return 0
             return exp[self._log[a] + self._log[b]]
-        return self.mul_baseline(a, b)
+        # 4-bit windowed comb: win[v] is a times the nibble v, unreduced
+        a2, a4, a8 = a << 1, a << 2, a << 3
+        a3, a12 = a2 ^ a, a8 ^ a4
+        win = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+               a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
+        r = s = 0
+        while b:
+            r ^= win[b & 15] << s
+            b >>= 4
+            s += 4
+        return (r & (self.order - 1)) ^ _apply(self._red, r >> self.n)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises ZeroInverseError on 0."""
@@ -268,7 +304,15 @@ class FieldSpec:
         if exp is not None:
             m = self.order - 1
             return exp[(m - self._log[a]) % m]
-        return self.pow(a, self.order - 2)
+        # extended Euclid, keeping u = a*g1 and v = a*g2 mod the modulus
+        u, v, g1, g2 = a, self.modulus, 1, 0
+        while u != 1:
+            d = u.bit_length() - v.bit_length()
+            if d < 0:
+                u, v, g1, g2, d = v, u, g2, g1, -d
+            u ^= v << d
+            g1 ^= g2 << d
+        return g1
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -292,22 +336,24 @@ class FieldSpec:
         exp = self._exp
         if exp is not None:
             return exp[(self._log[a] * e) % m]
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul_baseline(r, a)
-            e >>= 1
-            if e:
-                a = self.mul_baseline(a, a)
+        r = a
+        for bit in bin(e)[3:]:            # square and multiply, left to right
+            r = _apply(self._frob[1], r)
+            if bit == "1":
+                r = self.mul(r, a)
         return r
 
     def frobenius(self, a: int, j: int) -> int:
-        """a^(2^j) by repeated squaring; frobenius(a, n) = a."""
+        """a^(2^j); frobenius(a, n) = a."""
         if j < 0:
             raise ValueError("Frobenius iterate must be nonnegative")
-        for _ in range(j % self.n):
-            a = self.mul(a, a)
-        return a
+        j %= self.n
+        if j == 0 or a == 0:
+            return a
+        exp = self._exp
+        if exp is not None:
+            return exp[(self._log[a] << j) % (self.order - 1)]
+        return _apply(self._frob.get(j) or self._frobenius_tables(j), a)
 
     def sqrt(self, a: int) -> int:
         """The unique square root, a^(2^(n-1)); squaring is a bijection."""
@@ -353,6 +399,7 @@ class FieldSpec:
         memoryviews of them, whose items are Python ints, so log[a] * e
         cannot wrap in uint32.
         """
+        import numpy as np      # here, not at the top: the other routes never need it
         if self._exp is not None:
             return
         if self.n > TABLE_DEGREE_LIMIT:
@@ -385,6 +432,16 @@ class FieldSpec:
             self._log = memoryview(log)
             self._exp = memoryview(exp2)
 
+    def _frobenius_tables(self, j: int) -> tuple:
+        """Byte-sliced tables of x -> x^(2^j), 1 < j < n, built once: X^i
+        maps to h^i for h = X^(2^j), which the j = 1 tables give."""
+        with self._lock:
+            if j not in self._frob:
+                h = self.pow(2, 1 << j)      # j squarings in the j = 1 tables
+                powers = itertools.accumulate([h] * (self.n - 1), self.mul, initial=1)
+                self._frob[j] = _byte_tables(list(powers))
+        return self._frob[j]
+
     @property
     def tables_built(self) -> bool:
         return self._exp is not None
@@ -394,15 +451,6 @@ class FieldSpec:
         exp has length 2^n - 1 (index by log mod 2^n - 1)."""
         self.build_tables()
         return self._exp_np, self._log_np
-
-    def frobenius_basis(self, j: int) -> tuple[int, ...]:
-        """Images (X^i)^(2^j) of the basis monomials, cached per j."""
-        j %= self.n
-        basis = self._frob_basis.get(j)
-        if basis is None:
-            basis = tuple(self.frobenius(1 << i, j) for i in range(self.n))
-            self._frob_basis[j] = basis
-        return basis
 
 
 class FieldElement:
@@ -490,9 +538,10 @@ def cube_root_of_unity(spec: FieldSpec) -> FieldElement:
     """
     if spec.n % 2:
         raise NoCubeRootError(f"n={spec.n} is odd, 3 does not divide 2^n - 1")
-    m = spec.order - 1
-    w = spec.pow(spec.generator(), m // 3)
-    return FieldElement(spec, min(w, w ^ 1))
+    if spec._cube_root is None:       # cached: a race only recomputes it
+        w = spec.pow(spec.generator(), (spec.order - 1) // 3)
+        spec._cube_root = min(w, w ^ 1)
+    return FieldElement(spec, spec._cube_root)
 
 
 def fractional_power(a: FieldElement, num: int, den: int) -> FieldElement:

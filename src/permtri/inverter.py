@@ -94,13 +94,6 @@ def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
         f"(k={inst.params.k}, m={inst.params.m}, n={inst.n})")
 
 
-def _conjugates(inst: FamilyInstance, a: int) -> tuple[int, int]:
-    spec = inst.spec
-    b = spec.frobenius(a, inst.params.k)
-    c = spec.frobenius(b, inst.params.k)
-    return b, c
-
-
 # Each _invert_fX(inst, a, b, c) takes a != 0 with its conjugates and
 # returns the candidate preimages as (x, extras) pairs; extras holds the
 # intermediate values that the trace records if x is chosen.
@@ -263,7 +256,8 @@ def invert(inst: FamilyInstance, a: FieldElement) -> tuple[FieldElement, Inversi
     if spec.n <= TABLE_DEGREE_LIMIT and not spec.tables_built:
         spec.build_tables()
     bits = a.bits
-    b, c = _conjugates(inst, bits)
+    b = spec.frobenius(bits, inst.params.k)
+    c = spec.frobenius(b, inst.params.k)
     pairs = [(0, {})] if bits == 0 else _DISPATCH[inst.family](inst, bits, b, c)
     chosen, extras = _pick(inst, bits, pairs)
     elem = spec.element

@@ -90,13 +90,20 @@ class BitMatrix:
 
 
 def matrix_of(L: LinearizedPoly) -> BitMatrix:
-    """Matrix of the induced F2-linear map: column i = L(X^i)."""
+    """Matrix of the induced F2-linear map: column i = L(X^i).
+
+    A term c*x^(2^j) sends X^i to (d*X^i)^(2^j) with d = c^(2^(n-j)), and
+    d*X^i steps to d*X^(i+1) by a shift: no general multiplies."""
     spec = L.spec
+    top, mod = spec.order, spec.modulus
     cols = [0] * spec.n
     for j, c in L.terms:
-        basis = spec.frobenius_basis(j)
+        d = spec.frobenius(c, spec.n - j)
         for i in range(spec.n):
-            cols[i] ^= spec.mul(c, basis[i])
+            cols[i] ^= spec.frobenius(d, j)
+            d <<= 1
+            if d & top:
+                d ^= mod
     return BitMatrix(spec, cols)
 
 

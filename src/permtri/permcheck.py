@@ -18,8 +18,6 @@ ValueError.
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec
 
 CHECK_DEGREE_LIMIT = 28
@@ -103,6 +101,7 @@ def guard_budget(spec: FieldSpec, force: bool, task: str,
 
 def _as_values(f, spec: FieldSpec):
     """Normalize callable-or-table input to a full uint32 value table."""
+    import numpy as np
     values = evaluate_map(f, spec) if callable(f) else np.asarray(f)
     if values.shape != (spec.order,):
         raise ValueError(f"value table must have length 2^{spec.n}")
@@ -113,11 +112,13 @@ def _as_values(f, spec: FieldSpec):
 
 def _missing_count(values) -> int:
     """Field elements no input maps to; 0 iff the table is a bijection."""
+    import numpy as np
     return int(np.count_nonzero(np.bincount(values, minlength=values.size) == 0))
 
 
 def evaluate_map(f, spec: FieldSpec):
     """Evaluate a FieldElement callable over the whole field, in input order."""
+    import numpy as np
     elem = spec.element
     return np.fromiter((f(elem(x)).bits for x in range(spec.order)),
                        dtype=np.uint32, count=spec.order)
@@ -129,6 +130,7 @@ def _first_collision(values) -> tuple[int, int]:
     # the canonical witness's x2 is the smallest second occurrence over all
     # groups, and the entry just before it in the sorted order is that
     # group's first occurrence.
+    import numpy as np
     order = np.argsort(values, kind="stable")
     sv = values[order]
     dup = np.nonzero(sv[1:] == sv[:-1])[0]
@@ -144,6 +146,7 @@ def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
     entries in [0, 2^n).  Fields beyond n = 28 are refused unless ``force``
     is set.
     """
+    import numpy as np
     guard_budget(spec, force, "exhaustive check")
     values = _as_values(f, spec)
     missing = _missing_count(values)
@@ -173,6 +176,7 @@ def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
     # The rounds reuse four buffers: take() writes straight into ``out``
     # only in a mode other than "raise", and "clip" never changes an index
     # here because _as_values bounds every entry.
+    import numpy as np
     label = np.arange(values.size, dtype=np.uint32)
     step = values.copy()
     nxt, buf = np.empty_like(label), np.empty_like(label)
@@ -190,6 +194,7 @@ def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
 
 def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:
     """Exact preimage map from one exhaustive pass (n <= 20 unless forced)."""
+    import numpy as np
     guard_budget(spec, force, "inverse table", TABLE_DEGREE_LIMIT)
     values = _as_values(f, spec)
     # Sorting the (value, x) pairs lists each value's preimages in ascending

@@ -136,6 +136,57 @@ def rref_solve_bits(M, b: int) -> tuple[int | None, list[int]]:
     return particular, _kernel_from_rref(n, rows, pivots)
 
 
+def square_multiply_pow(spec, a: int, e: int) -> int:
+    """a^e by square-and-multiply on ``mul_baseline``, the exponent reduced
+    mod 2^n - 1 for nonzero bases (the field's former portable route)."""
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    if e == 0:
+        return 1
+    if a == 0:
+        return 0
+    m = spec.order - 1
+    e %= m
+    if e == 0:
+        return 1
+    r = 1
+    while e:
+        if e & 1:
+            r = spec.mul_baseline(r, a)
+        e >>= 1
+        if e:
+            a = spec.mul_baseline(a, a)
+    return r
+
+
+def repeated_squaring_frobenius(spec, a: int, j: int) -> int:
+    """a^(2^j) by j mod n squarings on ``mul_baseline``."""
+    if j < 0:
+        raise ValueError("Frobenius iterate must be nonnegative")
+    for _ in range(j % spec.n):
+        a = spec.mul_baseline(a, a)
+    return a
+
+
+def per_column_matrix_of(L) -> tuple[int, ...]:
+    """Columns L(X^i), each term c * (X^i)^(2^j) one ``mul_baseline``."""
+    spec = L.spec
+    cols = [0] * spec.n
+    for j, c in L.terms:
+        basis = tuple(repeated_squaring_frobenius(spec, 1 << i, j) for i in range(spec.n))
+        for i in range(spec.n):
+            cols[i] ^= spec.mul_baseline(c, basis[i])
+    return tuple(cols)
+
+
+def oracle_trinomial(inst, x: int) -> int:
+    """f(x) for a family instance, each power by ``square_multiply_pow``."""
+    acc = 0
+    for e in inst.exponents:
+        acc ^= square_multiply_pow(inst.spec, x, e)
+    return acc
+
+
 def exhaustive_inverse(spec, nonzero_inv_of: int) -> int:
     """Multiplicative inverse by scanning for the partner with product 1."""
     for y in range(1, spec.order):

@@ -257,20 +257,6 @@ class TestFamiliesCmd:
                                 {"n": 8, "k": 5, "m": 2}, {"n": 8, "k": 7, "m": 2}]
 
 
-class TestBench:
-    def test_schema(self, capsys):
-        rc, out, _ = run(capsys, "bench", "--family", "F4", "--k", "2",
-                         "--reps", "1")
-        assert rc == 0
-        data = json.loads(out)
-        assert set(data) == {"verify_ns", "invert_ns_per_op"}
-        assert data["verify_ns"] > 0 and data["invert_ns_per_op"] > 0
-
-    def test_zero_reps_exit2(self, capsys):
-        rc, _, _ = run(capsys, "bench", "--family", "F4", "--k", "2", "--reps", "0")
-        assert rc == 2
-
-
 class TestConsoleScript:
     def test_installed_entry_point(self):
         proc = subprocess.run(

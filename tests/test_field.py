@@ -16,6 +16,7 @@ from permtri.field import (
     NoCubeRootError,
     NonDivisorError,
     NonInvertibleDenominatorError,
+    TABLE_DEGREE_LIMIT,
     ZeroBaseError,
     ZeroInverseError,
     cube_root_of_unity,
@@ -28,7 +29,9 @@ from permtri.field import (
 from oracles import (
     exhaustive_inverse,
     naive_pow,
+    repeated_squaring_frobenius,
     schoolbook_mulmod,
+    square_multiply_pow,
     trial_division_irreducible,
 )
 
@@ -95,7 +98,7 @@ class TestMul:
     def test_table_route_bit_exact_random(self, n, modulus):
         spec = default_spec(n) if modulus is None else FieldSpec(n, modulus)
         spec.build_tables()
-        plain = FieldSpec(n, modulus)  # never builds tables: baseline route
+        plain = FieldSpec(n, modulus)  # never builds tables: byte-sliced route
         rng = random.Random(2000 + n)
         for _ in range(2000):
             a, b = rng.randrange(spec.order), rng.randrange(spec.order)
@@ -107,6 +110,70 @@ class TestMul:
             if a:
                 assert spec.inv(a) == plain.inv(a)
         assert not plain.tables_built
+
+
+class TestByteSlicedRoute:
+    """The route of every spec without log tables, bit for bit against the
+    ``mul_baseline`` oracles; n = 20 also against the log-table route."""
+
+    @pytest.mark.parametrize("n,which", [
+        pytest.param(n, which, id=f"{n}-{which}")
+        for n in [20] + list(range(21, 33)) for which in ("default", "second")])
+    def test_against_baseline_oracles(self, n, which):
+        modulus = next(itertools.islice(irreducibles(n), 0 if which == "default" else 1, None))
+        spec = FieldSpec(n, modulus)
+        rng = random.Random(f"byte-sliced-{n}-{modulus}")
+        top = spec.order - 1
+        samples = [0, 1, 2, top] + [rng.randrange(spec.order) for _ in range(60)]
+        for a in samples:
+            for b in samples[:4] + [rng.randrange(spec.order) for _ in range(8)]:
+                assert spec.mul(a, b) == spec.mul_baseline(a, b)
+            for e in (0, 1, 2, top, top + 1, rng.randrange(1 << 64)):
+                assert spec.pow(a, e) == square_multiply_pow(spec, a, e)
+            if a:
+                assert spec.inv(a) == square_multiply_pow(spec, a, spec.order - 2)
+            x = a                          # x = a^(2^j), one squaring per j
+            for j in range(n + 1):
+                assert spec.frobenius(a, j) == x == repeated_squaring_frobenius(spec, a, j)
+                x = spec.mul_baseline(x, x)
+            root = spec.sqrt(a)
+            assert root == repeated_squaring_frobenius(spec, a, n - 1)
+            assert spec.mul_baseline(root, root) == a
+        assert not spec.tables_built
+        if n <= TABLE_DEGREE_LIMIT:
+            logs = FieldSpec(n, modulus)
+            logs.build_tables()
+            for a in samples:
+                b = rng.randrange(spec.order)
+                assert spec.mul(a, b) == logs.mul(a, b)
+                e = rng.randrange(1 << 64)
+                assert spec.pow(a, e) == logs.pow(a, e)
+                if a:
+                    assert spec.inv(a) == logs.inv(a)
+                assert all(spec.frobenius(a, j) == logs.frobenius(a, j) for j in range(n + 1))
+                assert spec.sqrt(a) == logs.sqrt(a)
+
+    def test_scalar_route_does_not_load_numpy(self):
+        # numpy is imported only by the array functions, so the package and
+        # a wide-field inversion leave it unloaded
+        code = ("import sys\n"
+                "import permtri\n"
+                "inst = permtri.instantiate('F6', k=5, m=7)\n"
+                "x, _ = permtri.invert(inst, inst.spec.element(0x1234567))\n"
+                "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
+    def test_tables_built_once_and_read_only(self):
+        spec = FieldSpec(24)
+        assert spec.frobenius(3, 5) == repeated_squaring_frobenius(spec, 3, 5)
+        tables = spec._frob[5]
+        assert spec.frobenius(7, 5 + 24) == repeated_squaring_frobenius(spec, 7, 5)
+        assert spec._frob[5] is tables and len(tables) == 3
+        with pytest.raises(TypeError):
+            tables[0][1] = 0
 
 
 class TestInv:

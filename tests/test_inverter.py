@@ -14,6 +14,7 @@ from permtri.families import (
 from permtri.field import cube_root_of_unity, default_spec
 from permtri.inverter import NoValidCandidateError, invert
 from permtri.permcheck import inverse_table
+from oracles import oracle_trinomial
 
 
 class TestAnchors:
@@ -65,10 +66,13 @@ class TestAnchors:
         assert set(trace.candidates) == {x}      # both candidates collapse to a+1
 
 
+def instance_id(inst):
+    return (f"{inst.family.value}-k{inst.params.k}"
+            f"{'' if inst.params.m is None else f'-m{inst.params.m}'}")
+
+
 class TestOracleAgreement:
-    @pytest.mark.parametrize("inst", list(enumerate_instances(12)),
-                             ids=lambda i: f"{i.family.value}-k{i.params.k}"
-                                           f"{'' if i.params.m is None else f'-m{i.params.m}'}")
+    @pytest.mark.parametrize("inst", list(enumerate_instances(12)), ids=instance_id)
     def test_exhaustive_up_to_n12(self, inst):
         spec = inst.spec
         table = inverse_table(value_table(inst), spec)
@@ -78,6 +82,18 @@ class TestOracleAgreement:
             assert (x,) == table.preimages(a)
             assert trace.chosen == x
             assert x in trace.candidates
+
+    @pytest.mark.parametrize("inst", [i for i in enumerate_instances(32) if i.n > 20],
+                             ids=instance_id)
+    def test_wide_fields_against_baseline_pow(self, inst):
+        # invert validates with the field's own pow, so the round trip is
+        # checked with powers built only from mul_baseline
+        spec = inst.spec
+        rng = random.Random(f"wide-{instance_id(inst)}")
+        for a in [0, 1, 2] + [rng.randrange(spec.order) for _ in range(20)]:
+            x, trace = invert(inst, spec.element(a))
+            assert oracle_trinomial(inst, x.bits) == a
+            assert trace.chosen == x
 
     def test_round_trips_random_larger_fields(self):
         cases = [("F3", dict(k=2), 100), ("F2", dict(k=3), 100),

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permtri.field import default_spec
+from permtri.field import TABLE_DEGREE_LIMIT, FieldSpec, default_spec
 from permtri.linalg2 import (
     AffineSolutionSet,
     BitMatrix,
@@ -13,7 +13,7 @@ from permtri.linalg2 import (
     matrix_of,
     solve_affine,
 )
-from oracles import brute_force_affine_solutions, rref_solve_bits
+from oracles import brute_force_affine_solutions, per_column_matrix_of, rref_solve_bits
 
 F8 = default_spec(3)
 
@@ -78,6 +78,22 @@ class TestMatrixOf:
             M = matrix_of(L)
             for x in range(spec.order):
                 assert M.apply_bits(x) == L.eval_bits(x)
+
+
+    @pytest.mark.parametrize("n", range(2, 33))
+    def test_identical_to_per_column_multiply(self, n):
+        # byte-sliced route (a fresh spec) and, where it exists, log route
+        specs = [FieldSpec(n)]
+        if n <= TABLE_DEGREE_LIMIT:
+            specs.append(default_spec(n))
+            specs[-1].build_tables()
+        rng = random.Random(300 + n)
+        for spec in specs:
+            polys = [LinearizedPoly(spec, [(j, rng.randrange(1, spec.order))])
+                     for j in (0, 1, n - 1)]
+            polys += [random_linpoly(spec, rng) for _ in range(2)]
+            for L in polys:
+                assert matrix_of(L).cols == per_column_matrix_of(L)
 
 
 class TestSolveAffine:
