@@ -5,17 +5,23 @@ a permutation, 2 parameter or hypothesis errors, 3 budget guard tripped
 (override with --force), 4 inversion produced no valid candidate.
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
-order and the search CSV is byte-identical for a fixed seed.  Evaluation
-runs on one thread; the ``--threads`` flag of ``verify`` and ``search`` is
-accepted and ignored.  ``search`` screens a pair table of sampled powers
-per e1, confirms the survivors in batches and writes each e1 block's rows
-as soon as the block is decided.
+order and the search CSV is byte-identical for a fixed seed.  ``verify``
+runs on one thread; ``search`` decides its e1 blocks on one worker thread
+per CPU in the process's affinity set, and its output is the same on any
+number of CPUs.  The ``--threads`` flag of both is accepted and ignored.
+``search`` screens a pair table of sampled powers per e1 in fixed tiles,
+confirms the survivors in batches and writes each e1 block's rows, in
+ascending e1, as soon as the block and every earlier one are decided.
 """
 
 import argparse
 import json
+import os
 import sys
-from contextlib import nullcontext
+import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, nullcontext
 
 from .families import (
     ConditionViolatedError,
@@ -31,11 +37,13 @@ from .inverter import InversionError, invert
 from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
 SEARCH_DEGREE_LIMIT = 10
+SCREEN_TILE = 4096     # pair rows per screen step
 CONFIRM_BATCH = 4096   # survivors per confirm step
 CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
-THREADS_HELP = "accepted and ignored: evaluation runs on one thread"
+THREADS_HELP = ("accepted and ignored: verify runs on one thread, search on every CPU "
+                "in the affinity set, with the same output either way")
 
 
 def _parse_modulus(text: str) -> FieldSpec:
@@ -97,7 +105,8 @@ def _distinct_rows(vals):
 
 def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     """Screen every triple e1 > e2 > e3 >= 1 on seeded sample points and fully check the
-    survivors.  Set-up runs now; the iterator yields (e1, e2s, e3s, is_perm) per e1."""
+    survivors.  Set-up runs now; the iterator yields (e1, rows, is_perm) per e1 in
+    ascending order, where rows index the pairs (e2, e3) in ascending (e2, e3) order."""
     import numpy as np
     mult = spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
@@ -105,52 +114,107 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     # 16 bits wide, since numpy sorts uint16 rows far faster than uint8 rows
     pow_ = np.zeros((mult - 1, spec.order), np.uint16 if spec.n <= 16 else np.uint32)
     pow_[:, 1:] = exp_np[np.outer(np.arange(1, mult), log_np[1:]) % mult]
-    cols = pow_[:, sample_points(spec, sample_count, seed)]
+    cols = np.ascontiguousarray(pow_[:, sample_points(spec, sample_count, seed)])
     # pair[r] = x^e2 + x^e3 over e2 > e3 >= 1 in ascending (e2, e3) order,
     # so the e1 block is its prefix of the rows with e2 < e1
     i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
     pair = cols[i2] ^ cols[i3]
-    work = np.empty_like(pair)
+    tile = SCREEN_TILE
+    local = threading.local()
+
+    # worker threads run block() and call numpy only: nothing here touches a
+    # FieldSpec or any other library function
+    def block(e1):
+        work = getattr(local, "work", None)
+        if work is None:
+            work = local.work = np.empty((tile, cols.shape[1]), cols.dtype)
+        size = (e1 - 1) * (e1 - 2) // 2
+        keep = np.empty(size, dtype=bool)
+        for s in range(0, size, tile):
+            t = min(tile, size - s)
+            keep[s:s + t] = _distinct_rows(
+                np.bitwise_xor(pair[s:s + t], cols[e1 - 1], out=work[:t]))
+        rows = np.flatnonzero(keep)
+        # full check: f permutes iff its values over the whole field are
+        # distinct; most survivors already collide on the first points
+        is_perm = np.zeros(rows.size, dtype=bool)
+        for s in range(0, rows.size, CONFIRM_BATCH):
+            tri = rows[s:s + CONFIRM_BATCH]
+            for table in (pow_[:, :CONFIRM_HEAD], pow_):
+                tri = tri[_distinct_rows(table[i2[tri]] ^ table[i3[tri]] ^ table[e1 - 1])]
+            is_perm[np.searchsorted(rows, tri)] = True
+        return e1, rows, is_perm
+
+    workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+    largest = (mult - 2) * (mult - 3) // 2
 
     def blocks():
-        for e1 in range(3, mult):
-            size = (e1 - 1) * (e1 - 2) // 2
-            rows = np.flatnonzero(_distinct_rows(
-                np.bitwise_xor(pair[:size], cols[e1 - 1], out=work[:size])))
-            # full check: f permutes iff its values over the whole field are
-            # distinct; most survivors already collide on the first points
-            is_perm = np.zeros(rows.size, dtype=bool)
-            for s in range(0, rows.size, CONFIRM_BATCH):
-                tri = rows[s:s + CONFIRM_BATCH]
-                for table in (pow_[:, :CONFIRM_HEAD], pow_):
-                    tri = tri[_distinct_rows(table[i2[tri]] ^ table[i3[tri]] ^ table[e1 - 1])]
-                is_perm[np.searchsorted(rows, tri)] = True
-            yield e1, i2[rows] + 1, i3[rows] + 1, is_perm
+        if workers == 1 or largest <= tile:
+            # a pool costs more than it saves when no block spans two tiles
+            for e1 in range(3, mult):
+                yield block(e1)
+            return
+        pool = ThreadPoolExecutor(workers)
+        try:
+            pending = deque()
+            for e1 in range(3, mult):
+                pending.append(pool.submit(block, e1))
+                if len(pending) >= 2 * workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            pool.shutdown(cancel_futures=True)
     return blocks()
 
 
+def _block_text(e1, rows, is_perm, pair_text, tagged):
+    # the CSV rows of one e1 block; tagged lists (pair row, "family,k,m")
+    import numpy as np
+    if not rows.size:
+        return ""
+    lead = f"{e1},"
+    # each row's verdict and family columns, then the next row's e1 column
+    ends = np.array([f"false,,,\n{lead}", f"true,,,\n{lead}"], dtype=object)[
+        is_perm.view(np.uint8)]
+    for r, tag in tagged:
+        i = np.searchsorted(rows, r)
+        if i < rows.size and rows[i] == r:
+            ends[i] = f"{'true' if is_perm[i] else 'false'},{tag}\n{lead}"
+    ends[-1] = ends[-1][:-len(lead)]
+    parts = np.empty(2 * rows.size, dtype=object)
+    parts[0::2] = pair_text[rows]
+    parts[1::2] = ends
+    return lead + "".join(parts.tolist())
+
+
 def _cmd_search(args) -> int:
+    import numpy as np
     if args.n < 2:
         raise ValueError("--n must be >= 2")
     if args.n > SEARCH_DEGREE_LIMIT and not args.force:
         raise BudgetExceededError(
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
-            f"(n = {SEARCH_DEGREE_LIMIT} takes over a minute and each further degree "
-            f"at least 8 times as long; rerun with --force)")
+            f"(n = {SEARCH_DEGREE_LIMIT} takes about 20 s on two cores and each further "
+            f"degree at least 8 times as long; rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")
-    tags = _family_tags(args.n, spec)
-    blocks = _search_blocks(spec, args.samples, args.seed)
-    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
+    tagged = {}
+    for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
+        tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
+    # "e2,e3," of every pair row, in the screen's ascending (e2, e3) order
+    nums = [f"{e}," for e in range(1, spec.order - 2)]
+    pair_text = np.array([a + b for i, a in enumerate(nums[1:], 1) for b in nums[:i]],
+                         dtype=object)
+    with closing(_search_blocks(spec, args.samples, args.seed)) as blocks, \
+            open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
         stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
                      f"seed={args.seed} samples={args.samples}\n"
                      "e1,e2,e3,is_permutation,family,k,m\n")
-        for e1, e2s, e3s, is_perm in blocks:
-            stream.write("".join(
-                f"{e1},{e2},{e3},{'true' if perm else 'false'},"
-                f"{tags.get((e1, e2, e3), ',,')}\n"
-                for e2, e3, perm in zip(e2s.tolist(), e3s.tolist(), is_perm.tolist())))
+        for e1, rows, is_perm in blocks:
+            stream.write(_block_text(e1, rows, is_perm, pair_text, tagged.get(e1, ())))
     return 0
 
 

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from permtri import cli
+from permtri import cli, permcheck
 from permtri.cli import main
 from permtri.families import instantiate, value_table
-from permtri.field import default_spec
+from permtri.field import FieldSpec, default_spec
 from permtri.permcheck import check
 from oracles import naive_search_csv, naive_verdict
 
@@ -203,14 +205,20 @@ class TestSearch:
         for e1, e2, e3, perm, *_ in rows:
             assert naive_verdict(spec, int(e1), int(e2), int(e3)) == (perm == "true")
 
-    @pytest.mark.parametrize("head,batch", [(None, None), (4, 5)], ids=["default", "small"])
+    @pytest.mark.parametrize("head,batch,tile", [(None, None, None), (4, 5, None),
+                                                 (None, None, 3)],
+                             ids=["default", "small", "tiled"])
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, batch):
+    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, batch, tile):
         # "small" makes the confirm's head stage pass non-permutations on to
-        # the whole-field stage and splits each block into many batches
+        # the whole-field stage and splits each block into many batches;
+        # "tiled" screens each block in many tiles on a pool of two workers
         if head is not None:
             monkeypatch.setattr(cli, "CONFIRM_HEAD", head)
             monkeypatch.setattr(cli, "CONFIRM_BATCH", batch)
+        if tile is not None:
+            monkeypatch.setattr(cli, "SCREEN_TILE", tile)
+            force_pool(monkeypatch)
         # samples >= 2^n draw the whole field, 0 included
         for seed in (0, 1, 7):
             for samples in (1, 3, 64, 1 << n, 300):
@@ -218,6 +226,107 @@ class TestSearch:
                                  "--samples", str(samples))
                 assert rc == 0
                 assert out == naive_search_csv(default_spec(n), samples, seed)
+
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "caf8093cdb2cf0435782ebc0feb8e4d1f5acdcb17beda78c91ed4b5203502f93"),
+        (1, "2a93b4bea6ab1827801218acf27052e5c01c3a58758c4e9566474b260b5ae529"),
+    ])
+    def test_n9_output_pinned(self, capsys, seed, digest):
+        # the benchmark's search-n9 output, as first written by the
+        # single-threaded search
+        rc, out, _ = run(capsys, "search", "--n", "9", "--seed", str(seed))
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def force_pool(monkeypatch):
+    # the search sizes its pool from the process's CPU affinity set: two workers
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def within(seconds, fn):
+    """fn() on a helper thread; fails if it has not returned after `seconds`,
+    and re-raises what it raised."""
+    box = {}
+
+    def body():
+        try:
+            box["value"] = fn()
+        except BaseException as exc:   # handed back to the caller below
+            box["error"] = exc
+
+    helper = threading.Thread(target=body, daemon=True)
+    helper.start()
+    helper.join(seconds)
+    assert not helper.is_alive(), f"still running after {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box.get("value")
+
+
+class TestSearchPool:
+    def test_closing_early_joins_the_pool(self, monkeypatch):
+        force_pool(monkeypatch)
+        baseline = threading.active_count()
+
+        def first_block():
+            blocks = cli._search_blocks(default_spec(8), 64, 1)
+            e1, rows, is_perm = next(blocks)
+            assert threading.active_count() > baseline + 1   # the pool is running
+            blocks.close()
+            return e1
+
+        assert within(60, first_block) == 3
+        assert threading.active_count() == baseline
+
+    def test_worker_error_surfaces_and_joins_the_pool(self, capsys, monkeypatch):
+        force_pool(monkeypatch)
+        distinct_rows = cli._distinct_rows
+        calls = []
+        lock = threading.Lock()
+
+        def failing(vals):
+            with lock:
+                calls.append(threading.current_thread())
+                late = len(calls) > 40
+            if late and threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return distinct_rows(vals)
+
+        monkeypatch.setattr(cli, "_distinct_rows", failing)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="worker failed"):
+            within(60, lambda: main(["search", "--n", "8"]))
+        assert threading.active_count() == baseline
+
+    def test_workers_stay_off_the_library(self, capsys, monkeypatch):
+        force_pool(monkeypatch)
+        seen = []
+
+        def recording(original):
+            def wrapper(*args, **kwargs):
+                seen.append((original.__name__, threading.current_thread()))
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("mul", "pow", "frobenius", "inv"):
+            monkeypatch.setattr(FieldSpec, name, recording(getattr(FieldSpec, name)))
+        sampler = recording(permcheck.sample_points)
+        monkeypatch.setattr(permcheck, "sample_points", sampler)
+        monkeypatch.setattr(cli, "sample_points", sampler)
+        workers = set()
+        distinct_rows = cli._distinct_rows
+
+        def noting(vals):
+            workers.add(threading.current_thread())
+            return distinct_rows(vals)
+
+        monkeypatch.setattr(cli, "_distinct_rows", noting)
+        rc, out, _ = run(capsys, "search", "--n", "8")
+        assert rc == 0
+        assert threading.main_thread() not in workers   # the screen ran on the pool
+        assert ("sample_points", threading.main_thread()) in seen
+        assert all(thread is threading.main_thread() for _, thread in seen)
 
 
 class TestGcdSuite:
