@@ -5,9 +5,16 @@ analyzes the value table deterministically with numpy passes: one
 ``bincount`` over the values gives the verdict and the missing-value count,
 followed by the fixed points and either the cycle type (for permutations)
 or the first collision in ascending input order (for everything else).
-The cycle type comes from pointer jumping: O(log of the longest cycle)
-rounds of whole-table gathers label every point with the minimum of its
-cycle, and a ``bincount`` of those labels gives the cycle lengths.
+The cycle type comes from a ruler walk.  A fixed pseudo-random set of
+about one point in RULER_SPACING, the rulers, all step along f at once,
+marking the points they pass, until each meets the next ruler on its cycle;
+each records that ruler and the gap to it.  The rulers' next-ruler map is a
+much smaller permutation: pointer jumping on it (O(log) rounds of gathers
+that label every ruler with the minimum of its cycle) groups the gaps, and
+each group's exact sum is one cycle length.  The points no walker passed
+lie on cycles that hold no ruler; they are renumbered and pointer-jumped
+the same way, unweighted.  Tables of fewer than 4 * RULER_SPACING**3
+points (2^17) skip the walk and are pointer-jumped whole.
 
 Maps are given either as a callable on FieldElement or as a precomputed
 value table (any integer sequence of length 2^n with entries in [0, 2^n),
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec
 
 CHECK_DEGREE_LIMIT = 28
+RULER_SPACING = 32   # about one point in this many starts a cycle walker
 
 
 class BudgetExceededError(Exception):
@@ -169,27 +177,82 @@ def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
 
 
 def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
-    # Pointer jumping: after j rounds label[x] is the minimum over the first
-    # 2^j points of x's orbit and step = f^(2^j).  A round changes nothing
-    # exactly when every cycle is covered; each cycle is then labelled by
-    # its minimum (its head), so bincount(label) holds the cycle lengths.
-    # The rounds reuse four buffers: take() writes straight into ``out``
-    # only in a mode other than "raise", and "clip" never changes an index
-    # here because _as_values bounds every entry.
+    # The ruler walk of the module docstring: the sparse ruling set of
+    # vector list ranking (Reid-Miller, SPAA 1994).  A ruler is an x whose
+    # multiplicative hash falls in the lowest 1/RULER_SPACING of its range,
+    # so the choice, and the timing, repeat from run to run.  A walker's
+    # cycle holds its own ruler, so every walker stops within one cycle
+    # length.  The walk costs about RULER_SPACING * ln(rulers) rounds of
+    # fixed numpy overhead.  That pays from about 4 * RULER_SPACING**2
+    # rulers on: at spacing 32 the walk halves the time at 2^17 points and
+    # only breaks even at 2^16, so smaller tables are pointer-jumped whole.
+    # Walkers hold intp indices, which numpy gathers and scatters with no
+    # cast.
     import numpy as np
-    label = np.arange(values.size, dtype=np.uint32)
-    step = values.copy()
+    size = values.size
+    if size < 4 * RULER_SPACING ** 3:
+        sizes = np.bincount(_cycle_heads(values.copy()))
+    else:
+        # Fibonacci hashing: x times an odd 2^32 / golden ratio, wrapped to
+        # 32 bits, keeping the top log2(size) bits.
+        hashed = np.arange(size, dtype=np.uint32)
+        hashed *= np.uint32(0x9E3779B1)
+        hashed >>= np.uint32(33 - size.bit_length())
+        # One byte per point: 2 for a ruler, 1 until a walker passes, then 0.
+        mark = (hashed < size // RULER_SPACING).view(np.uint8) + np.uint8(1)
+        del hashed
+        rulers = np.flatnonzero(mark == 2)
+        next_ruler = np.empty(rulers.size, dtype=np.intp)
+        gap = np.empty(rulers.size, dtype=np.int64)
+        origin = np.arange(rulers.size)
+        at = values[rulers].astype(np.intp)
+        steps = 1
+        while at.size:
+            stop = mark[at] == 2
+            if stop.any():
+                done = origin[stop]
+                next_ruler[done] = at[stop]
+                gap[done] = steps
+                walking = ~stop
+                origin, at = origin[walking], at[walking]
+            mark[at] = 0
+            at = values[at].astype(np.intp)
+            steps += 1
+        # Rulers and unpassed points are disjoint, so one array renumbers
+        # both; it and the marks are freed before the jumping.
+        free = np.flatnonzero(mark == 1)
+        del mark
+        rank = np.empty(size, dtype=np.uint32)
+        rank[rulers] = np.arange(rulers.size, dtype=np.uint32)
+        rank[free] = np.arange(free.size, dtype=np.uint32)
+        ruler_step, free_step = rank[next_ruler], rank[values[free]]
+        del rank, free
+        ruled = np.zeros(rulers.size, dtype=np.int64)
+        np.add.at(ruled, _cycle_heads(ruler_step), gap)
+        sizes = np.concatenate([ruled, np.bincount(_cycle_heads(free_step))])
+    by_length = np.bincount(sizes[sizes > 0])
+    lengths = np.flatnonzero(by_length)
+    return tuple(zip(lengths.tolist(), by_length[lengths].tolist()))
+
+
+def _cycle_heads(step):
+    # Pointer jumping on a permutation ``step`` of range(step.size), given
+    # as uint32 and used up as a buffer.  After j rounds label[x] is the
+    # minimum over the first 2^j points of x's orbit and step = f^(2^j).  A
+    # round changes nothing exactly when every cycle is covered; each point
+    # is then labelled by the minimum of its cycle (its head).  The rounds
+    # reuse four buffers: take() writes straight into ``out`` only in a mode
+    # other than "raise", and "clip" never changes an index here because
+    # every entry is below step.size.
+    import numpy as np
+    label = np.arange(step.size, dtype=np.uint32)
     nxt, buf = np.empty_like(label), np.empty_like(label)
     while True:
         np.minimum(label, np.take(label, step, out=nxt, mode="clip"), out=nxt)
         if np.array_equal(nxt, label):
-            break
+            return label
         label, nxt = nxt, label
         step, buf = np.take(step, step, out=buf, mode="clip"), step
-    sizes = np.bincount(label)
-    by_length = np.bincount(sizes[sizes > 0])
-    return tuple((int(length), int(by_length[length]))
-                 for length in np.flatnonzero(by_length))
 
 
 def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:

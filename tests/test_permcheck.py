@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from permtri import permcheck
 from permtri.families import enumerate_instances, instantiate, value_table
 from permtri.field import FieldSpec, default_spec, irreducibles
 from permtri.inverter import invert
@@ -242,6 +243,60 @@ class TestCycleStructure:
             expected = naive_cycle_type(vt.tolist())
             assert cycle_structure(vt, inst.spec) == expected, inst
             assert check(vt, inst.spec).cycle_type == expected, inst
+
+    # From n = 17 on (4 * RULER_SPACING**3 points) the cycle type comes from
+    # the ruler walk, its weighted contraction and the leftover pass.
+
+    @pytest.mark.parametrize("n", [14, 16, 18, 20])
+    def test_seeded_random_permutation_matches_naive_walk(self, n):
+        table = np.random.default_rng(4000 + n).permutation(1 << n).astype(np.uint32)
+        assert cycle_structure(table, default_spec(n)) == naive_cycle_type(table.tolist())
+
+    def test_long_cycle_among_short_ones_matches_naive_walk(self):
+        # Tens of thousands of 2- and 3-cycles, so that some hold a ruler
+        # and most hold none, beside one cycle through half the field.
+        table = long_and_short_cycles(18)
+        expected = naive_cycle_type(table.tolist())
+        assert [length for length, _ in expected] == [2, 3, 1 << 17]
+        assert cycle_structure(table, default_spec(18)) == expected
+
+    def test_every_instance_n17_to_n20_matches_naive_walk(self):
+        for inst in enumerate_instances(20):
+            if inst.n < 17:
+                continue
+            vt = value_table(inst)
+            expected = naive_cycle_type(vt.tolist())
+            assert check(vt, inst.spec).cycle_type == expected, inst
+
+    @pytest.mark.parametrize("spacing", [1, 2, "none"])
+    def test_cycle_type_independent_of_rulers(self, monkeypatch, spacing):
+        # Spacing 1 makes every point a ruler, spacing 2 about half of them,
+        # and a spacing beyond the field leaves every cycle to the leftover
+        # pass.
+        tables = [long_and_short_cycles(12), long_and_short_cycles(17),
+                  np.random.default_rng(12).permutation(1 << 12).astype(np.uint32)]
+        tables += [value_table(inst) for inst in enumerate_instances(16) if inst.n >= 12]
+        expected = [cycle_structure(t, default_spec(t.size.bit_length() - 1)) for t in tables]
+        monkeypatch.setattr(permcheck, "RULER_SPACING",
+                            (1 << 17) + 1 if spacing == "none" else spacing)
+        for table, before in zip(tables, expected):
+            spec = default_spec(table.size.bit_length() - 1)
+            assert cycle_structure(table, spec) == before
+            assert check(table, spec).cycle_type == before
+
+
+def long_and_short_cycles(n):
+    """A seeded permutation of 2^n points: one cycle through half of them,
+    the rest in 2- and 3-cycles, all on shuffled points."""
+    size = 1 << n
+    points = np.random.default_rng(5000 + n).permutation(size)
+    long, rest = points[:size // 2], points[size // 2:]
+    three = 6 * (rest.size // 12)   # leaves an even count for the 2-cycles
+    table = np.empty(size, dtype=np.uint32)
+    table[long] = np.roll(long, -1)
+    for short in rest[:three].reshape(-1, 3), rest[three:].reshape(-1, 2):
+        table[short] = np.roll(short, -1, axis=1)
+    return table
 
 
 class TestModulusIndependence:
