@@ -17,7 +17,10 @@ Three routes give the same values bit for bit:
   map kept as ceil(n/8) uint32 ``array`` tables (no numpy), one per byte
   of its argument.  Frobenius powers and squarings are ceil(n/8) lookups,
   ``mul`` is a 4-bit windowed comb whose high half is reduced by such a
-  table, and ``inv`` is the extended Euclid algorithm on the polynomials;
+  table, ``pow`` is a Frobenius chain (x^e as a product of Frobenius
+  images of x^(2^L - 1), one per run of ones in e; see
+  ``_frobenius_chain``) and ``inv`` is the extended Euclid algorithm on
+  the polynomials;
 * ``mul_baseline``, portable shift-and-XOR: the reference for both.
 
 ``DEFAULT_MODULI`` pins one modulus per degree 2..32: the irreducible
@@ -26,7 +29,6 @@ polynomial with the smallest integer encoding.  Degree 8 is the familiar
 """
 
 import functools
-import itertools
 import threading
 from array import array
 
@@ -113,6 +115,52 @@ def _x_pow_2e(j: int, m: int) -> int:
     for _ in range(j):
         r = _poly_mulmod(r, r, m)
     return r
+
+
+@functools.lru_cache(maxsize=1024)
+def _frobenius_chain(e: int, n: int) -> tuple:
+    """A straight-line program for x^e in F_{2^n}, 0 < e < 2^n - 1.
+
+    e is split into its runs of ones, read cyclically since x^(2^n) = x,
+    so a run (s, L) of L ones from bit s is x^((2^L - 1) 2^s), the s-th
+    Frobenius image of P_L = x^(2^L - 1).  Each distinct P_L is built once
+    by the Itoh-Tsujii chain P_2l = P_l^(2^l) P_l, P_(l+1) = P_l^2 x, and
+    the runs are joined from the highest offset down, Horner-fashion.
+    Returns (steps, shift): registers start as [x], step (i, j, k) appends
+    regs[i]^(2^j) * regs[k], and x^e is the last register to the 2^shift.
+    """
+    z = next(i for i in range(n) if not e >> i & 1)     # a zero bit exists: e < 2^n - 1
+    s = (z + 1) % n
+    rot = ((e >> s) | (e << (n - s))) & ((1 << n) - 1)  # bit n-1 is the zero bit z
+    runs = []
+    while rot:
+        low = (rot & -rot).bit_length() - 1
+        rot >>= low
+        length = (~rot & (rot + 1)).bit_length() - 1
+        runs.append(((s + low) % n, length))
+        rot >>= length
+        s += low + length
+    runs.sort(reverse=True)           # highest offset first
+    steps = []
+    reg_of = {1: 0}                   # run length L -> register holding P_L
+
+    def chain(length):
+        if length not in reg_of:
+            if length % 2:
+                step = (chain(length - 1), 1, 0)
+            else:
+                half = chain(length // 2)
+                step = (half, length // 2, half)
+            steps.append(step)
+            reg_of[length] = len(steps)
+        return reg_of[length]
+
+    acc = chain(runs[0][1])
+    for (above, _), (offset, length) in zip(runs, runs[1:]):
+        k = chain(length)
+        steps.append((acc, above - offset, k))
+        acc = len(steps)
+    return tuple(steps), runs[-1][0]
 
 
 def _byte_tables(images: list[int]) -> tuple:
@@ -336,12 +384,13 @@ class FieldSpec:
         exp = self._exp
         if exp is not None:
             return exp[(self._log[a] * e) % m]
-        r = a
-        for bit in bin(e)[3:]:            # square and multiply, left to right
-            r = _apply(self._frob[1], r)
-            if bit == "1":
-                r = self.mul(r, a)
-        return r
+        steps, shift = _frobenius_chain(e, self.n)
+        frob = self._frob
+        regs = [a]
+        for i, j, k in steps:             # regs[i]^(2^j) * regs[k]
+            regs.append(self.mul(_apply(frob.get(j) or self._frobenius_tables(j), regs[i]),
+                                 regs[k]))
+        return self.frobenius(regs[-1], shift)
 
     def frobenius(self, a: int, j: int) -> int:
         """a^(2^j); frobenius(a, n) = a."""
@@ -433,13 +482,18 @@ class FieldSpec:
             self._exp = memoryview(exp2)
 
     def _frobenius_tables(self, j: int) -> tuple:
-        """Byte-sliced tables of x -> x^(2^j), 1 < j < n, built once: X^i
-        maps to h^i for h = X^(2^j), which the j = 1 tables give."""
+        """Byte-sliced tables of x -> x^(2^j), 1 < j < n, built once by
+        composition: x^(2^j) = (x^(2^b))^(2^a) for j = a + b, with a the
+        largest power of two below j, so the image of X^i is column i of
+        the b tables sent through the a tables (ceil(n/8) lookups).  Any
+        of those tables not built yet is built first, the same way."""
         with self._lock:
             if j not in self._frob:
-                h = self.pow(2, 1 << j)      # j squarings in the j = 1 tables
-                powers = itertools.accumulate([h] * (self.n - 1), self.mul, initial=1)
-                self._frob[j] = _byte_tables(list(powers))
+                a = 1 << (j - 1).bit_length() - 1
+                outer = self._frob.get(a) or self._frobenius_tables(a)
+                inner = self._frob.get(j - a) or self._frobenius_tables(j - a)
+                self._frob[j] = _byte_tables([_apply(outer, inner[i >> 3][1 << (i & 7)])
+                                              for i in range(self.n)])
         return self._frob[j]
 
     @property

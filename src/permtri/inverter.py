@@ -14,11 +14,13 @@ Throughout, b and c denote the conjugates a^(2^k) and a^(2^2k), and
 epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
 """
 
+import functools
 from dataclasses import dataclass
 
 from .families import FamilyId, FamilyInstance, trinomial_bits
-from .field import TABLE_DEGREE_LIMIT, FieldElement, cube_root_of_unity, fractional_power
-from .linalg2 import LinearizedPoly, solve_affine
+from .field import (TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, cube_root_of_unity,
+                    fractional_power)
+from .linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 
 
 class InversionError(Exception):
@@ -98,6 +100,12 @@ def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
 # returns the candidate preimages as (x, extras) pairs; extras holds the
 # intermediate values that the trace records if x is chosen.
 
+@functools.lru_cache(maxsize=64)
+def _f1_reduction(spec: FieldSpec, k: int) -> ColumnReduction:
+    # L1 = x^(2^(2k+1)) + x^2 + x depends only on the instance: reduce it once
+    return ColumnReduction(matrix_of(LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])))
+
+
 def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
@@ -106,20 +114,18 @@ def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
         # the conjugate system collapses to u=b, v=c, w=a, so x^2 = ac
         return [(spec.sqrt(spec.mul(a, c)), {})]
     # scaled linearized equation v^(2^(2k+1)) + v^2 + v = a^2/eps^2 ...
-    a2 = spec.mul(a, a)
-    eps2 = spec.mul(eps, eps)
-    L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
-    sols = solve_affine(L1, spec.element(spec.div(a2, eps2)))
+    a2 = spec.frobenius(a, 1)
+    eps2 = spec.frobenius(eps, 1)
+    sols = _f1_reduction(spec, k).solve(spec.element(spec.div(a2, eps2)))
     # ... intersected with the quartic v^4 + v^2 + v = (a^4+b^4+a^2 eps^2)/eps^4
-    b2 = spec.mul(b, b)
-    rhs2 = spec.div(spec.mul(a2, a2) ^ spec.mul(b2, b2) ^ spec.mul(a2, eps2),
-                    spec.mul(eps2, eps2))
-    L2 = LinearizedPoly(spec, [(2, 1), (1, 1), (0, 1)])
+    rhs2 = spec.div(spec.frobenius(a, 2) ^ spec.frobenius(b, 2) ^ spec.mul(a2, eps2),
+                    spec.frobenius(eps, 2))
     candidates = []
     for v_scaled in sols:
-        if L2.eval_bits(v_scaled.bits) != rhs2:
+        v = v_scaled.bits
+        if v ^ spec.frobenius(v, 1) ^ spec.frobenius(v, 2) != rhs2:
             continue
-        v = spec.mul(eps, v_scaled.bits)       # undo the eps scaling
+        v = spec.mul(eps, v)                   # undo the eps scaling
         u = spec.frobenius(v, 2 * k)
         w = eps ^ u ^ v
         candidates.append((spec.sqrt(spec.mul(v, w)), {}))
@@ -130,14 +136,15 @@ def _invert_f2(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
     eps = a ^ b ^ c
-    b2 = spec.mul(b, b)
-    zeta1 = spec.mul(a, c) ^ b2 ^ spec.mul(c, c)
+    b2 = spec.frobenius(b, 1)
+    c2 = spec.frobenius(c, 1)
+    zeta1 = spec.mul(a, c) ^ b2 ^ c2
     if zeta1 == 0:
         raise Zeta1ZeroError(
             f"zeta1 = 0 at a=0x{a:x} (k={k}): contradicts the bijectivity argument")
-    zeta2 = spec.mul(a, b) ^ spec.mul(a, a) ^ spec.mul(c, c)
+    zeta2 = spec.mul(a, b) ^ spec.frobenius(a, 1) ^ c2
     lam = spec.pow(zeta1, (1 << k) - 1)        # zeta2/zeta1, a (2^2k+2^k+1)-th root of unity
-    lam2 = spec.mul(lam, lam)
+    lam2 = spec.frobenius(lam, 1)
     lam3 = spec.mul(lam2, lam)
     extras = {"zeta1": zeta1, "zeta2": zeta2, "lam": lam}
     den = lam3 ^ lam ^ 1
@@ -151,17 +158,17 @@ def _invert_f2(inst: FamilyInstance, a: int, b: int, c: int):
         raise ZeroDenominatorError(
             f"lambda^5+lambda^3+1 = 0 at a=0x{a:x} (k={k})")
     y = spec.div(b, den2)
-    return [(spec.mul(spec.mul(lam2, lam2), y), extras)]
+    return [(spec.mul(spec.frobenius(lam, 2), y), extras)]
 
 
 def _invert_f3(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     if a == 1:
         return [(1, {})]
-    a2 = spec.mul(a, a)
-    b2 = spec.mul(b, b)
-    c2 = spec.mul(c, c)
-    den = a2 ^ spec.mul(a2, b2) ^ spec.mul(b2, b2) ^ spec.mul(c2, c2) ^ 1
+    a2 = spec.frobenius(a, 1)
+    b2 = spec.frobenius(b, 1)
+    c2 = spec.frobenius(c, 1)
+    den = a2 ^ spec.mul(a2, b2) ^ spec.frobenius(b, 2) ^ spec.frobenius(c, 2) ^ 1
     if den == 0:
         raise ZeroDenominatorError(
             f"a^2+a^2b^2+b^4+c^4+1 = 0 at a=0x{a:x}: possible only for a in {{0,1}}")
@@ -172,12 +179,12 @@ def _invert_f3(inst: FamilyInstance, a: int, b: int, c: int):
 
 def _invert_f4(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
-    a2 = spec.mul(a, a)
-    b2 = spec.mul(b, b)
+    a2 = spec.frobenius(a, 1)
+    b2 = spec.frobenius(b, 1)
     bc = spec.mul(b, c)
     alpha = a2 ^ b2 ^ bc ^ c ^ 1
     beta = spec.mul(a, bc)
-    gamma = (spec.mul(a2, a2) ^ spec.mul(a2, bc) ^ spec.mul(a2, b2)
+    gamma = (spec.frobenius(a, 2) ^ spec.mul(a2, bc) ^ spec.mul(a2, b2)
              ^ spec.mul(a2, c) ^ b2 ^ bc ^ c ^ 1)
     theta = spec.mul(spec.mul(a2, a), bc) ^ spec.mul(a, bc)
     extras = {"alpha": alpha, "beta_coef": beta, "gamma": gamma, "theta_coef": theta}
@@ -191,9 +198,9 @@ def _invert_f5(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     if a == 1:
         return [(1, {})]
-    a2 = spec.mul(a, a)
-    b2 = spec.mul(b, b)
-    den = spec.mul(a2, c) ^ a2 ^ b2 ^ spec.mul(c, c) ^ 1
+    a2 = spec.frobenius(a, 1)
+    b2 = spec.frobenius(b, 1)
+    den = spec.mul(a2, c) ^ a2 ^ b2 ^ spec.frobenius(c, 1) ^ 1
     if den == 0:
         raise ZeroDenominatorError(
             f"a^2c+a^2+b^2+c^2+1 = 0 at a=0x{a:x}: excluded while f is onto")

@@ -3,12 +3,15 @@
 A linearized polynomial sum_j c_j x^(2^j) induces an F2-linear map on
 F_{2^n}; affine equations L(x) = b therefore reduce to bit-matrix systems.
 Matrices are kept bit-packed: an n x n matrix is a tuple of n column ints
-(column i = image of the basis monomial X^i).  A system is solved by one
-pass over the columns in ascending order, reducing each against an XOR
-basis of the earlier ones.  The particular solution is the one that is zero
-on every dependent ("free") column, and the kernel basis has one vector per
-free column with no other free bit set, in ascending order, so both are
-unique and reproducible.
+(column i = image of the basis monomial X^i).  A system is solved in two
+steps.  ``ColumnReduction`` makes one pass over the columns in ascending
+order, reducing each against an XOR basis of the earlier ones; this is
+done once per matrix.  Its ``solve`` then reduces one right-hand side
+against that basis, so a caller with a fixed map and many right-hand
+sides reduces the matrix once (``solve_affine`` does both steps).  The
+particular solution is the one that is zero on every dependent ("free")
+column, and the kernel basis has one vector per free column with no other
+free bit set, in ascending order, so both are unique and reproducible.
 """
 
 from .field import FieldElement, FieldSpec
@@ -151,34 +154,53 @@ class AffineSolutionSet:
                 f"kernel_dim={len(self.kernel_basis)})")
 
 
-def _solve_bits(M: BitMatrix, b: int) -> tuple[int | None, list[int]]:
-    # vec[t] is the basis vector with top bit t (0: none yet) and pre[t] a
-    # preimage of it.  Preimages combine only the independent columns, so a
-    # column that reduces to zero leaves the kernel vector with its own free
-    # bit alone, and reducing b leaves the solution zero on free columns.
-    n = M.spec.n
-    vec = [0] * n
-    pre = [0] * n
-    kernel_bits = []
-    for i, col in enumerate(M.cols):
-        x = 1 << i
-        while col:
-            t = col.bit_length() - 1
+class ColumnReduction:
+    """The column reduction of a square bit matrix, kept to solve M x = b
+    for many right-hand sides b at one cheap reduction of b each.
+
+    ``vec[t]`` is the reduced column whose top bit is t (0: none) and
+    ``pre[t]`` a preimage of it.  Preimages combine only independent
+    columns, so a column that reduces to zero leaves its kernel vector
+    with its own free bit alone, and reducing b leaves the solution zero
+    on every free column.
+    """
+
+    __slots__ = ("spec", "vec", "pre", "kernel_basis")
+
+    def __init__(self, M: BitMatrix):
+        n = M.spec.n
+        vec = [0] * n
+        pre = [0] * n
+        kernel_bits = []
+        for i, col in enumerate(M.cols):
+            x = 1 << i
+            while col:
+                t = col.bit_length() - 1
+                if not vec[t]:
+                    vec[t], pre[t] = col, x
+                    break
+                col ^= vec[t]
+                x ^= pre[t]
+            else:
+                kernel_bits.append(x)
+        self.spec = M.spec
+        self.vec, self.pre = tuple(vec), tuple(pre)
+        self.kernel_basis = tuple(FieldElement(M.spec, v) for v in kernel_bits)
+
+    def solve(self, b: FieldElement) -> AffineSolutionSet:
+        """All x with M x = b: empty when b is outside the image."""
+        if b.spec != self.spec:
+            raise ValueError("right-hand side bound to a different FieldSpec")
+        vec, pre = self.vec, self.pre
+        bits = b.bits
+        x = 0
+        while bits:
+            t = bits.bit_length() - 1
             if not vec[t]:
-                vec[t], pre[t] = col, x
-                break
-            col ^= vec[t]
+                return AffineSolutionSet(self.spec, None, self.kernel_basis)
+            bits ^= vec[t]
             x ^= pre[t]
-        else:
-            kernel_bits.append(x)
-    x = 0
-    while b:
-        t = b.bit_length() - 1
-        if not vec[t]:             # b is outside the image
-            return None, kernel_bits
-        b ^= vec[t]
-        x ^= pre[t]
-    return x, kernel_bits
+        return AffineSolutionSet(self.spec, FieldElement(self.spec, x), self.kernel_basis)
 
 
 def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
@@ -187,14 +209,9 @@ def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
     Returns the empty set when b is not in the image; otherwise a coset of
     ker L with 2^dim(ker) elements.
     """
-    if b.spec != L.spec:
-        raise ValueError("right-hand side bound to a different FieldSpec")
-    spec = L.spec
-    particular, kernel_bits = _solve_bits(matrix_of(L), b.bits)
-    part = None if particular is None else FieldElement(spec, particular)
-    return AffineSolutionSet(spec, part, [FieldElement(spec, v) for v in kernel_bits])
+    return ColumnReduction(matrix_of(L)).solve(b)
 
 
 def kernel(M: BitMatrix) -> list[FieldElement]:
     """Basis of the null space of M; empty iff M is invertible."""
-    return [FieldElement(M.spec, v) for v in _solve_bits(M, 0)[1]]
+    return list(ColumnReduction(M).kernel_basis)

@@ -166,6 +166,45 @@ class TestByteSlicedRoute:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize("n,which", [
+        pytest.param(n, which, id=f"{n}-{which}")
+        for n in range(21, 33) for which in ("default", "second")])
+    def test_pow_on_structured_exponents(self, n, which):
+        # pow splits the reduced exponent into runs of ones, read cyclically:
+        # every run at every offset (those with offset + length > n wrap past
+        # bit n-1 once reduced), wrapped runs next to another run, the edge
+        # exponents, and every family instance's exponents at this n
+        from permtri.families import enumerate_instances, instantiate
+
+        modulus = next(itertools.islice(irreducibles(n), 0 if which == "default" else 1, None))
+        spec = FieldSpec(n, modulus)
+        rng = random.Random(f"pow-runs-{n}-{modulus}")
+        top = spec.order - 1
+        exponents = [((1 << length) - 1) << offset
+                     for length in range(1, n + 1) for offset in range(n)]
+        exponents += [((1 << length) - 1) << (n - 2) | 1 << (n // 2)
+                      for length in range(3, n // 2)]
+        exponents += [0, 1, top - 1, top, 2 * top, 7 * top]
+        for inst in enumerate_instances(n):
+            if inst.n == n:
+                inst = instantiate(inst.family, inst.params, spec)
+                exponents += [*inst.exponents, *inst.reduced_exponents()]
+        for e in exponents:
+            for a in (rng.randrange(2, spec.order), 1, 0):
+                assert spec.pow(a, e) == square_multiply_pow(spec, a, e), (a, e)
+        assert not spec.tables_built
+
+    @pytest.mark.parametrize("n", range(21, 33))
+    def test_frobenius_tables_composed_in_descending_order(self, n):
+        # on a fresh spec each table j = n-1, n-2, ... is first built from
+        # the power-of-two tables below it, which it builds on the way
+        spec = FieldSpec(n)
+        rng = random.Random(f"frobenius-descending-{n}")
+        for j in range(n - 1, 0, -1):
+            for a in [1, 2, 1 << (n - 1)] + [rng.randrange(spec.order) for _ in range(4)]:
+                assert spec.frobenius(a, j) == repeated_squaring_frobenius(spec, a, j)
+        assert sorted(spec._frob) == list(range(1, n))
+
     def test_tables_built_once_and_read_only(self):
         spec = FieldSpec(24)
         assert spec.frobenius(3, 5) == repeated_squaring_frobenius(spec, 3, 5)

@@ -11,10 +11,11 @@ from permtri.families import (
     instantiate,
     value_table,
 )
-from permtri.field import cube_root_of_unity, default_spec
-from permtri.inverter import NoValidCandidateError, invert
+from permtri.field import FieldSpec, cube_root_of_unity, default_spec
+from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
+from permtri.linalg2 import LinearizedPoly, matrix_of, solve_affine
 from permtri.permcheck import inverse_table
-from oracles import oracle_trinomial
+from oracles import oracle_trinomial, per_column_matrix_of, rref_solve_bits
 
 
 class TestAnchors:
@@ -108,6 +109,41 @@ class TestOracleAgreement:
                 x, _ = invert(inst, a)
                 assert evaluate(inst, x) == a
                 assert x == x0               # permutation: preimage is unique
+
+
+class TestF1Reduction:
+    """``_invert_f1`` solves L1(v) = rhs, L1 = x^(2^(2k+1)) + x^2 + x, with a
+    column reduction cached per (spec, k) instead of one per call."""
+
+    F1_UP_TO_30 = list(enumerate_instances(30, (FamilyId.F1,)))
+
+    @pytest.mark.parametrize("inst", F1_UP_TO_30, ids=instance_id)
+    def test_cached_reduction_matches_solve_affine(self, inst):
+        spec, k = inst.spec, inst.params.k
+        L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
+        M = matrix_of(L1)
+        assert M.cols == per_column_matrix_of(L1)
+        reduction = _f1_reduction(spec, k)
+        assert _f1_reduction(FieldSpec(inst.n), k) is reduction   # equal specs share it
+        rng = random.Random(f"f1-reduction-{inst.n}")
+        rhs = [0, 1] + [rng.randrange(spec.order) for _ in range(10)]
+        rhs += [L1.eval_bits(rng.randrange(spec.order)) for _ in range(10)]
+        for b in rhs:
+            want = solve_affine(L1, spec.element(b))
+            got = reduction.solve(spec.element(b))
+            assert got.particular == want.particular
+            assert got.kernel_basis == want.kernel_basis     # same basis, same order
+            particular = None if got.is_empty else got.particular.bits
+            assert (particular, [v.bits for v in got.kernel_basis]) == rref_solve_bits(M, b)
+
+    def test_one_reduction_per_instance(self):
+        _f1_reduction.cache_clear()
+        inst = instantiate("F1", k=7)
+        rng = random.Random(7)
+        for _ in range(50):
+            invert(inst, inst.spec.element(rng.randrange(inst.spec.order)))
+        info = _f1_reduction.cache_info()
+        assert info.misses == 1 and info.hits > 0
 
 
 class TestTraceConsistency:

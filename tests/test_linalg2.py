@@ -7,8 +7,8 @@ from permtri.field import TABLE_DEGREE_LIMIT, FieldSpec, default_spec
 from permtri.linalg2 import (
     AffineSolutionSet,
     BitMatrix,
+    ColumnReduction,
     LinearizedPoly,
-    _solve_bits,
     kernel,
     matrix_of,
     solve_affine,
@@ -118,6 +118,14 @@ class TestSolveAffine:
         for b in empties:
             assert brute_force_affine_solutions(L, b) == set()
 
+    def test_right_hand_side_of_another_field_rejected(self):
+        L = LinearizedPoly(F8, [(1, 1), (0, 1)])
+        b = default_spec(4).element(1)
+        with pytest.raises(ValueError):
+            solve_affine(L, b)
+        with pytest.raises(ValueError):
+            ColumnReduction(matrix_of(L)).solve(b)
+
     @pytest.mark.parametrize("n", range(4, 11))
     def test_matches_brute_force_100_random(self, n):
         spec = default_spec(n)
@@ -181,10 +189,13 @@ class TestSolverAgainstRref:
         for rank in (n, n, n - 1, n // 2, 1, 0):
             for _ in range(8):
                 M = random_matrix(spec, rng, rank)
+                reduction = ColumnReduction(M)   # reduced once, solved for three b
                 x = rng.randrange(spec.order)
                 for b in (M.apply_bits(x), rng.randrange(spec.order), 0):
                     want = rref_solve_bits(M, b)
-                    assert _solve_bits(M, b) == want
+                    sols = reduction.solve(spec.element(b))
+                    particular = None if sols.is_empty else sols.particular.bits
+                    assert (particular, [v.bits for v in sols.kernel_basis]) == want
                     inconsistent += want[0] is None
                 assert [v.bits for v in kernel(M)] == rref_solve_bits(M, 0)[1]
         assert inconsistent > 0
