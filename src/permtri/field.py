@@ -385,11 +385,9 @@ class FieldSpec:
         if exp is not None:
             return exp[(self._log[a] * e) % m]
         steps, shift = _frobenius_chain(e, self.n)
-        frob = self._frob
         regs = [a]
         for i, j, k in steps:             # regs[i]^(2^j) * regs[k]
-            regs.append(self.mul(_apply(frob.get(j) or self._frobenius_tables(j), regs[i]),
-                                 regs[k]))
+            regs.append(self.mul(self.frobenius(regs[i], j), regs[k]))
         return self.frobenius(regs[-1], shift)
 
     def frobenius(self, a: int, j: int) -> int:

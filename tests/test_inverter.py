@@ -11,7 +11,7 @@ from permtri.families import (
     instantiate,
     value_table,
 )
-from permtri.field import FieldSpec, cube_root_of_unity, default_spec
+from permtri.field import cube_root_of_unity, default_spec
 from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
 from permtri.linalg2 import LinearizedPoly, matrix_of, solve_affine
 from permtri.permcheck import inverse_table
@@ -123,8 +123,8 @@ class TestF1Reduction:
         L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
         M = matrix_of(L1)
         assert M.cols == per_column_matrix_of(L1)
-        reduction = _f1_reduction(spec, k)
-        assert _f1_reduction(FieldSpec(inst.n), k) is reduction   # equal specs share it
+        reduction = _f1_reduction(spec.n, spec.modulus, k)
+        assert reduction.spec == spec and reduction.spec is not spec   # pins no caller's spec
         rng = random.Random(f"f1-reduction-{inst.n}")
         rhs = [0, 1] + [rng.randrange(spec.order) for _ in range(10)]
         rhs += [L1.eval_bits(rng.randrange(spec.order)) for _ in range(10)]
