@@ -162,10 +162,11 @@ class ColumnReduction:
     ``pre[t]`` a preimage of it.  Preimages combine only independent
     columns, so a column that reduces to zero leaves its kernel vector
     with its own free bit alone, and reducing b leaves the solution zero
-    on every free column.
+    on every free column.  Only ints are kept, so a cached reduction holds
+    no FieldSpec alive.
     """
 
-    __slots__ = ("spec", "vec", "pre", "kernel_basis")
+    __slots__ = ("field", "vec", "pre", "kernel_bits")
 
     def __init__(self, M: BitMatrix):
         n = M.spec.n
@@ -183,13 +184,14 @@ class ColumnReduction:
                 x ^= pre[t]
             else:
                 kernel_bits.append(x)
-        self.spec = M.spec
+        self.field = (n, M.spec.modulus)
         self.vec, self.pre = tuple(vec), tuple(pre)
-        self.kernel_basis = tuple(FieldElement(M.spec, v) for v in kernel_bits)
+        self.kernel_bits = tuple(kernel_bits)
 
     def solve(self, b: FieldElement) -> AffineSolutionSet:
         """All x with M x = b: empty when b is outside the image."""
-        if b.spec != self.spec:
+        spec = b.spec
+        if (spec.n, spec.modulus) != self.field:
             raise ValueError("right-hand side bound to a different FieldSpec")
         vec, pre = self.vec, self.pre
         bits = b.bits
@@ -197,10 +199,12 @@ class ColumnReduction:
         while bits:
             t = bits.bit_length() - 1
             if not vec[t]:
-                return AffineSolutionSet(self.spec, None, self.kernel_basis)
+                x = None
+                break
             bits ^= vec[t]
             x ^= pre[t]
-        return AffineSolutionSet(self.spec, FieldElement(self.spec, x), self.kernel_basis)
+        return AffineSolutionSet(spec, None if x is None else FieldElement(spec, x),
+                                 [FieldElement(spec, v) for v in self.kernel_bits])
 
 
 def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
@@ -214,4 +218,4 @@ def solve_affine(L: LinearizedPoly, b: FieldElement) -> AffineSolutionSet:
 
 def kernel(M: BitMatrix) -> list[FieldElement]:
     """Basis of the null space of M; empty iff M is invertible."""
-    return list(ColumnReduction(M).kernel_basis)
+    return [FieldElement(M.spec, v) for v in ColumnReduction(M).kernel_bits]

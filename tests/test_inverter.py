@@ -12,8 +12,9 @@ from permtri.families import (
     value_table,
 )
 from permtri.field import cube_root_of_unity, default_spec
+from permtri import inverter
 from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
-from permtri.linalg2 import LinearizedPoly, matrix_of, solve_affine
+from permtri.linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 from permtri.permcheck import inverse_table
 from oracles import oracle_trinomial, per_column_matrix_of, rref_solve_bits
 
@@ -113,7 +114,7 @@ class TestOracleAgreement:
 
 class TestF1Reduction:
     """``_invert_f1`` solves L1(v) = rhs, L1 = x^(2^(2k+1)) + x^2 + x, with a
-    column reduction cached per (spec, k) instead of one per call."""
+    column reduction cached per (n, modulus, k) instead of one per call."""
 
     F1_UP_TO_30 = list(enumerate_instances(30, (FamilyId.F1,)))
 
@@ -123,8 +124,8 @@ class TestF1Reduction:
         L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
         M = matrix_of(L1)
         assert M.cols == per_column_matrix_of(L1)
-        reduction = _f1_reduction(spec.n, spec.modulus, k)
-        assert reduction.spec == spec and reduction.spec is not spec   # pins no caller's spec
+        reduction = _f1_reduction(spec, k)
+        assert reduction.field == (spec.n, spec.modulus)    # ints only: pins no spec
         rng = random.Random(f"f1-reduction-{inst.n}")
         rhs = [0, 1] + [rng.randrange(spec.order) for _ in range(10)]
         rhs += [L1.eval_bits(rng.randrange(spec.order)) for _ in range(10)]
@@ -136,14 +137,19 @@ class TestF1Reduction:
             particular = None if got.is_empty else got.particular.bits
             assert (particular, [v.bits for v in got.kernel_basis]) == rref_solve_bits(M, b)
 
-    def test_one_reduction_per_instance(self):
-        _f1_reduction.cache_clear()
+    def test_one_reduction_per_instance(self, monkeypatch):
+        built = []
+
+        def counting(M):
+            built.append(M)
+            return ColumnReduction(M)
+        monkeypatch.setattr(inverter, "ColumnReduction", counting)
+        monkeypatch.setattr(inverter, "_F1_REDUCTIONS", {})
         inst = instantiate("F1", k=7)
         rng = random.Random(7)
         for _ in range(50):
             invert(inst, inst.spec.element(rng.randrange(inst.spec.order)))
-        info = _f1_reduction.cache_info()
-        assert info.misses == 1 and info.hits > 0
+        assert len(built) == 1 and list(inverter._F1_REDUCTIONS) == [(21, inst.spec.modulus, 7)]
 
 
 class TestTraceConsistency:
