@@ -117,7 +117,7 @@ def _x_pow_2e(j: int, m: int) -> int:
     return r
 
 
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=256)
 def _frobenius_chain(e: int, n: int) -> tuple:
     """A straight-line program for x^e in F_{2^n}, 0 < e < 2^n - 1.
 
