@@ -1,8 +1,9 @@
 """Command-line front end: verify, invert, search, gcd-suite, families.
 
 Exit codes: 0 success (for ``verify``: the map permutes), 1 checked but not
-a permutation, 2 parameter or hypothesis errors, 3 budget guard tripped
-(override with --force), 4 inversion produced no valid candidate.
+a permutation, 2 parameter or hypothesis errors (also ``search --force``
+above the log-table limit), 3 budget guard tripped (override with
+--force), 4 inversion produced no valid candidate.
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
 order and the search CSV is byte-identical for a fixed seed.  ``verify``
@@ -206,11 +207,13 @@ def _cmd_search(args) -> int:
     tagged = {}
     for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
         tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
+    # set-up first: it refuses n > 20 before the pair texts below could fill memory
+    blocks = _search_blocks(spec, args.samples, args.seed)
     # "e2,e3," of every pair row, in the screen's ascending (e2, e3) order
     nums = [f"{e}," for e in range(1, spec.order - 2)]
     pair_text = np.array([a + b for i, a in enumerate(nums[1:], 1) for b in nums[:i]],
                          dtype=object)
-    with closing(_search_blocks(spec, args.samples, args.seed)) as blocks, \
+    with closing(blocks), \
             open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
         stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
                      f"seed={args.seed} samples={args.samples}\n"

@@ -247,29 +247,18 @@ def enumerate_params(family: FamilyId | str, n_max: int) -> list[tuple[int, Fami
     if n_max < 2:
         raise ValueError("n_max must be >= 2")
     out = []
-    if family is FamilyId.F6:
-        m = 1
-        while 4 * m <= n_max:
-            n = 4 * m
-            for k in range(1, n, 2):
-                if math.gcd(m, k) == 1:
-                    out.append((n, FamilyParams(k=k, m=m)))
-            m += 1
-        return out
-    k = 1
-    while True:
-        params = FamilyParams(k=k)
-        n = field_degree(family, params)
-        if n > n_max:
-            return out
-        try:
-            validate_params(family, params)
-        except ConditionViolatedError:
-            pass
-        else:
-            if n >= 2:
-                out.append((n, params))
-        k += 1
+    for m in range(1, n_max // 4 + 1) if family.uses_m else (None,):   # F6 has n = 4m
+        for k in range(1, n_max):
+            params = FamilyParams(k=k, m=m)
+            n = field_degree(family, params)
+            if n > n_max or k >= n:
+                break       # n grows with k, or (F6) is fixed by m; every family has k < n
+            try:
+                validate_params(family, params)
+            except ConditionViolatedError:
+                continue
+            out.append((n, params))
+    return out
 
 
 def enumerate_instances(n_max: int, families=tuple(FamilyId)):

@@ -77,15 +77,16 @@ def _poly_mod(a: int, m: int) -> int:
 
 
 def _poly_mulmod(a: int, b: int, m: int) -> int:
+    # shift-and-XOR product of residues a, b below X^deg(m), reduced mod m
     r = 0
-    a = _poly_mod(a, m)
+    top = 1 << (m.bit_length() - 1)
     while b:
         if b & 1:
             r ^= a
         b >>= 1
         a <<= 1
-        if a.bit_length() >= m.bit_length():
-            a ^= m << (a.bit_length() - m.bit_length())
+        if a & top:
+            a ^= m
     return r
 
 
@@ -313,17 +314,7 @@ class FieldSpec:
 
     def mul_baseline(self, a: int, b: int) -> int:
         """Shift-and-XOR product with modular reduction (the reference)."""
-        r = 0
-        mod = self.modulus
-        top = 1 << self.n
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & top:
-                a ^= mod
-        return r
+        return _poly_mulmod(a, b, self.modulus)
 
     def mul(self, a: int, b: int) -> int:
         """Product of two residues: log-table lookup, else a windowed comb."""

@@ -8,17 +8,19 @@ underlying uniqueness argument proceeds by cases, the implementation
 enumerates every candidate the cases produce and selects by re-evaluating
 f (candidate-and-validate); the returned value is therefore always
 final-validated, and a candidate set with no valid member signals a bug or
-an invalid instance, never a caller error.
+an invalid instance, never a caller error.  Cases that no input reaches
+are not coded: F6's linear coefficients never vanish and F5 needs no case
+at a = 1; F4's alpha = 0 branch, which no a reaches up to n = 17, stays
+because it guards a division.
 
 Throughout, b and c denote the conjugates a^(2^k) and a^(2^2k), and
 epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .families import FamilyId, FamilyInstance, trinomial_bits
-from .field import (TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, cube_root_of_unity,
-                    fractional_power)
+from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, cube_root_of_unity
 from .linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 
 
@@ -71,19 +73,11 @@ class InversionTrace:
     chosen: FieldElement | None = None
 
     def to_json_dict(self) -> dict:
+        """Every field in declaration order, as hex; ``lam`` is keyed "lambda"."""
         def fmt(v):
-            return None if v is None else str(v)
-        return {
-            "a": fmt(self.a), "b": fmt(self.b), "c": fmt(self.c),
-            "epsilon": fmt(self.epsilon), "lambda": fmt(self.lam),
-            "zeta1": fmt(self.zeta1), "zeta2": fmt(self.zeta2),
-            "alpha": fmt(self.alpha), "beta_coef": fmt(self.beta_coef),
-            "gamma": fmt(self.gamma), "theta_coef": fmt(self.theta_coef),
-            "w": fmt(self.w), "z": fmt(self.z), "t": fmt(self.t),
-            "beta": fmt(self.beta), "theta": fmt(self.theta),
-            "candidates": [str(x) for x in self.candidates],
-            "chosen": fmt(self.chosen),
-        }
+            return [str(x) for x in v] if isinstance(v, tuple) else None if v is None else str(v)
+        return {"lambda" if f.name == "lam" else f.name: fmt(getattr(self, f.name))
+                for f in fields(self)}
 
 
 def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
@@ -204,8 +198,6 @@ def _invert_f4(inst: FamilyInstance, a: int, b: int, c: int):
 
 def _invert_f5(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
-    if a == 1:
-        return [(1, {})]
     a2 = spec.frobenius(a, 1)
     b2 = spec.frobenius(b, 1)
     den = spec.mul(a2, c) ^ a2 ^ b2 ^ spec.frobenius(c, 1) ^ 1
@@ -222,25 +214,19 @@ def _invert_f6(inst: FamilyInstance, a: int, b: int, c: int):
     k = inst.params.k
     m = inst.params.m
     w = cube_root_of_unity(spec).bits
-    w2 = w ^ 1                                  # the other root: w^2 = w + 1
     big_a = spec.frobenius(a, 2 * m)
+    # A/a = a^(2^2m - 1) lies in the subgroup of order 2^2m + 1 (n = 4m), which 3
+    # never divides, so A/a is neither w nor w^2 and neither coefficient vanishes
     c1 = spec.mul(w, big_a) ^ a                # coefficient of z^(2^k)
-    c0 = spec.mul(w2, big_a) ^ a               # coefficient of z
-    if c1 == 0 and c0 == 0:
-        raise ZeroDenominatorError("both linear coefficients vanish, forcing a = 0")
-    if c1 == 0:
-        zs = [spec.div(big_a, c0)]
-    elif c0 == 0:
-        zs = [fractional_power(spec.element(spec.div(big_a, c1)), 1, 1 << k).bits]
-    else:
-        L = LinearizedPoly(spec, [(k, c1), (0, c0)])
-        zs = [s.bits for s in solve_affine(L, spec.element(big_a)) if s.bits]
+    c0 = spec.mul(w ^ 1, big_a) ^ a            # coefficient of z; w^2 = w + 1
+    L = LinearizedPoly(spec, [(k, c1), (0, c0)])
     unity_order = (1 << (2 * m)) + 1
     candidates = []
-    for z in zs:
+    for sol in solve_affine(L, spec.element(big_a)):   # z != 0, since L(0) = 0 != A
+        z = sol.bits
         t = spec.inv(z)
         beta = t ^ w
-        if beta == w or spec.pow(beta, unity_order) != 1:
+        if spec.pow(beta, unity_order) != 1:
             continue   # spurious root (z = 1 always solves the equation but fails here)
         theta = spec.pow(beta, (1 << k) - 1)
         den = 1 ^ theta ^ spec.mul(theta, beta)  # 1 + beta^(2^k - 1) + beta^(2^k)

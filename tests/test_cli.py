@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 import threading
@@ -74,6 +75,9 @@ class TestVerify:
         rc, _, err = run(capsys, "verify", "--family", "F1", "--k", "1",
                          "--modulus", "0x11B")  # wrong degree for n=3
         assert rc == 2
+        rc, _, err = run(capsys, "verify", "--family", "F1", "--k", "1",
+                         "--modulus", "zz")
+        assert rc == 2 and "not valid hex" in err
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--family", "F4", "--k", "3", "--modulus=-0x11b"],
@@ -163,6 +167,21 @@ class TestSearch:
     def test_budget_guard(self, capsys):
         rc, _, err = run(capsys, "search", "--n", "15")
         assert rc == 3 and "budget" in err
+        rc, out, err = run(capsys, "search", "--n", "1")
+        assert rc == 2 and ">= 2" in err and out == ""
+        rc, out, err = run(capsys, "search", "--n", "9", "--modulus", "0x11B")
+        assert rc == 2 and "degree 8" in err and out == ""
+
+    def test_force_above_table_limit_exits_2_before_allocating(self):
+        # the pair texts alone would be about 2.2e12 strings at n = 21; under a
+        # 2 GiB address-space limit building them first ends in MemoryError
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+        proc = subprocess.run([sys.executable, "-m", "permtri.cli", "search", "--n", "21",
+                               "--force"], capture_output=True, text=True, timeout=60,
+                              preexec_fn=limit)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "log tables limited to n <= 20" in proc.stderr
 
     def test_budget_guard_n11(self, capsys):
         rc, out, err = run(capsys, "search", "--n", "11")
@@ -364,6 +383,16 @@ class TestFamiliesCmd:
         assert f6["params"] == [{"n": 4, "k": 1, "m": 1}, {"n": 4, "k": 3, "m": 1},
                                 {"n": 8, "k": 1, "m": 2}, {"n": 8, "k": 3, "m": 2},
                                 {"n": 8, "k": 5, "m": 2}, {"n": 8, "k": 7, "m": 2}]
+        rc, out, _ = run(capsys, "families", "--n-max", "8")
+        lines = out.splitlines()
+        assert rc == 0 and len(lines) == 6 + 16
+        assert lines[-7:] == [
+            "F6: x^d + x^(2^2m) + x, d = sum(2^ik, i=0..2m)   "
+            "[n = 4m, k odd, 1 <= k <= n-1, gcd(m, k) = 1]",
+            "    n=4: k=1, m=1", "    n=4: k=3, m=1", "    n=8: k=1, m=2",
+            "    n=8: k=3, m=2", "    n=8: k=5, m=2", "    n=8: k=7, m=2"]
+        assert lines[:2] == ["F1: x^(2^2k+2^k-1) + x^(2^2k) + x   "
+                             "[n = 3k, k >= 1, k != 2 (mod 3)]", "    n=3: k=1"]
 
 
 class TestConsoleScript:

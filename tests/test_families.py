@@ -19,6 +19,7 @@ from permtri.families import (
     validate_params,
     value_table,
 )
+from permtri import families
 from permtri.field import FieldSpec, default_spec, irreducibles
 from oracles import naive_pow
 
@@ -124,6 +125,22 @@ class TestEvaluate:
                 table = value_table(alt).tolist()
                 assert table == [trinomial_bits(alt.spec, alt.exponents, x)
                                  for x in range(alt.spec.order)], (alt, hex(modulus))
+
+
+    def test_value_table_scalar_route_matches_table_route(self, monkeypatch):
+        # verify takes the scalar route for 21 <= n <= 28; with the limit
+        # lowered it runs on small fields, on specs without log tables
+        for inst in enumerate_instances(10):
+            for modulus in itertools.islice(irreducibles(inst.n), 2):
+                tables = value_table(instantiate(inst.family, inst.params,
+                                                 FieldSpec(inst.n, modulus)))
+                with monkeypatch.context() as patch:
+                    patch.setattr(families, "TABLE_DEGREE_LIMIT", 1)
+                    alt = instantiate(inst.family, inst.params, FieldSpec(inst.n, modulus))
+                    scalar = value_table(alt)
+                assert not alt.spec.tables_built
+                assert scalar.dtype == tables.dtype
+                assert scalar.tolist() == tables.tolist(), (alt, hex(modulus))
 
 
 class TestEnumerateParams:

@@ -32,7 +32,8 @@ class TestAnchors:
                 inst = instantiate(family, k=k)
                 one = inst.spec.one
                 assert evaluate(inst, one) == one
-                assert invert(inst, one)[0] == one
+                x, trace = invert(inst, one)
+                assert x == one and trace.candidates == (one,)   # F5: no a = 1 special case
 
     def test_f1_worked_example(self):
         inst = instantiate("F1", k=1)
@@ -220,8 +221,8 @@ class TestF2BranchCoverage:
 
 class TestF6Degeneracy:
     def test_linear_coefficients_never_vanish(self):
-        # wA+a = 0 or w^2A+a = 0 would force w into F2; exhaustive
-        # confirmation on every F6 instance with n <= 12
+        # wA+a = 0 or w^2A+a = 0 would put A/a = a^(2^2m - 1), whose order
+        # divides 2^2m + 1, at order 3; exhaustive on every F6 instance with n <= 12
         for inst in enumerate_instances(12, families=(FamilyId.F6,)):
             spec = inst.spec
             m = inst.params.m
@@ -230,6 +231,25 @@ class TestF6Degeneracy:
                 big_a = spec.frobenius(a, 2 * m)
                 assert spec.mul(w, big_a) ^ a != 0
                 assert spec.mul(w ^ 1, big_a) ^ a != 0
+
+
+class TestBranchCensus:
+    def test_f4_alpha_zero_branch_never_fires(self):
+        # the alpha = 0 branch guards a division; no a reaches it up to n = 14
+        # here (nor up to n = 17 in a one-off whole-field run)
+        for inst in enumerate_instances(14, families=(FamilyId.F4,)):
+            spec = inst.spec
+            for a in range(1, spec.order):
+                tr = invert(inst, spec.element(a))[1]
+                assert tr.alpha.bits != 0 and len(tr.candidates) == 2
+
+    def test_f1_l1_bijective_exactly_for_valid_k(self):
+        # L1 = x^(2^(2k+1)) + x^2 + x has a trivial kernel for valid k, so the
+        # quartic filter can reject a candidate only under excluded parameters
+        for k in range(1, 11):
+            spec = instantiate("F1", k=k, enforce_hypotheses=False).spec
+            dim = len(_f1_reduction(spec, k).kernel_bits)
+            assert dim == (2 if k % 3 == 2 else 0), k
 
 
 class TestF6SpuriousRoot:
