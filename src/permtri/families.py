@@ -141,31 +141,40 @@ def exponents_of(family: FamilyId, params: FamilyParams) -> tuple[int, int, int]
     return (d, 1 << 2 * m, 1)
 
 
-def validate_params(family: FamilyId, params: FamilyParams) -> None:
-    """Raise ConditionViolatedError unless the family's hypotheses hold."""
+def _params_violation(family: FamilyId, params: FamilyParams, *,
+                      hypotheses: bool = True) -> str | None:
+    """The message naming the first condition the parameters break, or None.
+    The parameters the formulas need come first; without ``hypotheses``,
+    as in an excluded-parameter experiment, they are all that is checked."""
     k, m = params.k, params.m
     if family is not FamilyId.F6 and m is not None:
-        raise ConditionViolatedError(f"family {family.value} takes no parameter m")
+        return f"family {family.value} takes no parameter m"
     if family is FamilyId.F6:
         if m is None:
-            raise ConditionViolatedError("family F6 requires parameter m")
+            return "family F6 requires parameter m"
         if m < 1:
-            raise ConditionViolatedError("m must be a positive integer")
+            return "m must be a positive integer"
     if k < 1:
-        raise ConditionViolatedError("k must be a positive integer")
+        return "k must be a positive integer"
+    if not hypotheses:
+        return None
     if family in (FamilyId.F1, FamilyId.F2) and k % 3 == 2:
-        raise ConditionViolatedError(
-            f"k = {k} violates the hypothesis k ≢ 2 (mod 3)")
+        return f"k = {k} violates the hypothesis k ≢ 2 (mod 3)"
     if family is FamilyId.F6:
         n = 4 * m
         if k % 2 == 0:
-            raise ConditionViolatedError(f"k = {k} violates the hypothesis that k is odd")
+            return f"k = {k} violates the hypothesis that k is odd"
         if not 1 <= k <= n - 1:
-            raise ConditionViolatedError(
-                f"k = {k} violates the hypothesis 1 <= k <= n-1 (n = {n})")
+            return f"k = {k} violates the hypothesis 1 <= k <= n-1 (n = {n})"
         if math.gcd(m, k) != 1:
-            raise ConditionViolatedError(
-                f"(m, k) = ({m}, {k}) violates the hypothesis gcd(m, k) = 1")
+            return f"(m, k) = ({m}, {k}) violates the hypothesis gcd(m, k) = 1"
+    return None
+
+
+def validate_params(family: FamilyId, params: FamilyParams) -> None:
+    """Raise ConditionViolatedError unless the family's hypotheses hold."""
+    if broken := _params_violation(family, params):
+        raise ConditionViolatedError(broken)
 
 
 def instantiate(family: FamilyId | str,
@@ -180,7 +189,7 @@ def instantiate(family: FamilyId | str,
     Parameters may be given as a FamilyParams or as k=/m= keywords.  When
     ``spec`` is omitted the pinned default modulus for the family's n is
     used.  ``enforce_hypotheses=False`` permits excluded parameters for
-    experiments (the resulting trinomial may well fail to permute).
+    experiments (k and m must still fit the formulas; f may not permute).
     """
     family = FamilyId(family)
     if params is None:
@@ -189,11 +198,8 @@ def instantiate(family: FamilyId | str,
         params = FamilyParams(k=k, m=m)
     elif k is not None or m is not None:
         raise TypeError("pass either params or k=/m= keywords, not both")
-    if enforce_hypotheses:
-        validate_params(family, params)
-    else:
-        if params.k < 1 or (family is FamilyId.F6 and (params.m is None or params.m < 1)):
-            raise ConditionViolatedError("parameters must be positive integers")
+    if broken := _params_violation(family, params, hypotheses=enforce_hypotheses):
+        raise ConditionViolatedError(broken)
     n = field_degree(family, params)
     if spec is None:
         spec = default_spec(n)
@@ -253,11 +259,8 @@ def enumerate_params(family: FamilyId | str, n_max: int) -> list[tuple[int, Fami
             n = field_degree(family, params)
             if n > n_max or k >= n:
                 break       # n grows with k, or (F6) is fixed by m; every family has k < n
-            try:
-                validate_params(family, params)
-            except ConditionViolatedError:
-                continue
-            out.append((n, params))
+            if _params_violation(family, params) is None:
+                out.append((n, params))
     return out
 
 

@@ -17,6 +17,7 @@ Throughout, b and c denote the conjugates a^(2^k) and a^(2^2k), and
 epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
 """
 
+import functools
 from dataclasses import dataclass, fields
 
 from .families import FamilyId, FamilyInstance, trinomial_bits
@@ -93,19 +94,12 @@ def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
 # returns the candidate preimages as (x, extras) pairs; extras holds the
 # intermediate values that the trace records if x is chosen.
 
-_F1_REDUCTIONS: dict = {}   # (n, modulus, k) -> ColumnReduction of L1; ints only
-
-
-def _f1_reduction(spec: FieldSpec, k: int) -> ColumnReduction:
-    # L1 = x^(2^(2k+1)) + x^2 + x depends only on the instance: reduce it once
-    key = (spec.n, spec.modulus, k)
-    reduction = _F1_REDUCTIONS.get(key)
-    if reduction is None:
-        if len(_F1_REDUCTIONS) >= 64:
-            _F1_REDUCTIONS.clear()      # stays bounded: an instance needs only its own entry
-        L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
-        reduction = _F1_REDUCTIONS[key] = ColumnReduction(matrix_of(L1))
-    return reduction
+@functools.lru_cache(maxsize=64)
+def _f1_reduction(n: int, modulus: int, k: int) -> ColumnReduction:
+    # L1 = x^(2^(2k+1)) + x^2 + x depends only on the instance: reduce it
+    # once.  Keyed by ints and holding ints, so it pins no FieldSpec.
+    L1 = LinearizedPoly(FieldSpec(n, modulus), [(2 * k + 1, 1), (1, 1), (0, 1)])
+    return ColumnReduction(matrix_of(L1))
 
 
 def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
@@ -118,7 +112,7 @@ def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
     # scaled linearized equation v^(2^(2k+1)) + v^2 + v = a^2/eps^2 ...
     a2 = spec.frobenius(a, 1)
     eps2 = spec.frobenius(eps, 1)
-    sols = _f1_reduction(spec, k).solve(spec.element(spec.div(a2, eps2)))
+    sols = _f1_reduction(spec.n, spec.modulus, k).solve(spec.element(spec.div(a2, eps2)))
     # ... intersected with the quartic v^4 + v^2 + v = (a^4+b^4+a^2 eps^2)/eps^4
     rhs2 = spec.div(spec.frobenius(a, 2) ^ spec.frobenius(b, 2) ^ spec.mul(a2, eps2),
                     spec.frobenius(eps, 2))

@@ -5,6 +5,8 @@ analyzes the value table deterministically with numpy passes: one
 ``bincount`` over the values gives the verdict and the missing-value count,
 followed by the fixed points and either the cycle type (for permutations)
 or the first collision in ascending input order (for everything else).
+The collision witness and ``inverse_table`` read one preimage index: the
+inputs sorted by (value, x), cut into runs by the bincount's running sums.
 The cycle type comes from a ruler walk.  A fixed pseudo-random set of
 about one point in RULER_SPACING, the rulers, all step along f at once,
 marking the points they pass, until each meets the next ruler on its cycle;
@@ -67,35 +69,40 @@ class PermutationReport:
         }
 
 
+@dataclass(eq=False, slots=True)
 class InverseTable:
-    """Exact preimage map of f: every attained value -> ascending preimages."""
-
-    __slots__ = ("spec", "_map")
-
-    def __init__(self, spec: FieldSpec, mapping: dict[int, tuple[int, ...]]):
-        self.spec = spec
-        self._map = mapping
+    """Exact preimage map of f: every attained value -> ascending preimages,
+    held as the preimage index ``xs[offset[v]:offset[v + 1]]`` of v."""
+    spec: FieldSpec
+    _xs: "numpy.ndarray"
+    _offset: "numpy.ndarray"
 
     def preimages(self, a) -> tuple[FieldElement, ...]:
         bits = a.bits if isinstance(a, FieldElement) else a
-        return tuple(FieldElement(self.spec, x) for x in self._map.get(bits, ()))
+        if not 0 <= bits < self.spec.order:     # numpy would wrap or reject it
+            return ()
+        lo, hi = self._offset[bits:bits + 2].tolist()
+        return tuple(FieldElement(self.spec, x) for x in self._xs[lo:hi].tolist())
 
     def __getitem__(self, a):
         return self.preimages(a)
 
     def __contains__(self, a):
-        bits = a.bits if isinstance(a, FieldElement) else a
-        return bits in self._map
+        return bool(self.preimages(a))
 
     def __len__(self):
-        return len(self._map)
+        import numpy as np
+        return int(np.count_nonzero(np.diff(self._offset)))
 
     @property
     def all_singletons(self) -> bool:
-        return all(len(v) == 1 for v in self._map.values())
+        return len(self) == self.spec.order
 
-    def attained(self):
-        return self._map.keys()
+    def attained(self) -> list[int]:
+        """Attained values in the order of their first preimage."""
+        import numpy as np
+        values = np.flatnonzero(np.diff(self._offset))
+        return values[np.argsort(self._xs[self._offset[values]])].tolist()
 
 
 def guard_budget(spec: FieldSpec, force: bool, task: str,
@@ -118,12 +125,6 @@ def _as_values(f, spec: FieldSpec):
     return values.astype(np.uint32, copy=False)
 
 
-def _missing_count(values) -> int:
-    """Field elements no input maps to; 0 iff the table is a bijection."""
-    import numpy as np
-    return int(np.count_nonzero(np.bincount(values, minlength=values.size) == 0))
-
-
 def evaluate_map(f, spec: FieldSpec):
     """Evaluate a FieldElement callable over the whole field, in input order."""
     import numpy as np
@@ -132,19 +133,33 @@ def evaluate_map(f, spec: FieldSpec):
                        dtype=np.uint32, count=spec.order)
 
 
-def _first_collision(values) -> tuple[int, int]:
-    # Called only for non-bijections, so some value repeats.  Stable
-    # argsort groups equal values with their original indices ascending;
-    # the canonical witness's x2 is the smallest second occurrence over all
-    # groups, and the entry just before it in the sorted order is that
-    # group's first occurrence.
+def _preimage_index(values, counts):
+    """Inputs grouped by value, ``counts`` being the table's bincount: the
+    preimages of v are ``xs[offset[v]:offset[v + 1]]``, ascending.  One
+    in-place sort of the keys value << 32 | x gives xs as their low halves.
+    """
     import numpy as np
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    dup = np.nonzero(sv[1:] == sv[:-1])[0]
-    seconds = order[dup + 1]
-    best = int(np.argmin(seconds))
-    return int(order[dup[best]]), int(seconds[best])
+    keys = values.astype(np.uint64)
+    keys <<= np.uint64(32)
+    keys |= np.arange(values.size, dtype=np.uint32)   # widened per buffer, not as a whole
+    keys.sort()
+    xs = keys.astype(np.uint32)
+    del keys
+    # the smallest type holding the table size holds every running sum
+    offset = np.zeros(counts.size + 1, dtype=np.min_scalar_type(values.size))
+    np.cumsum(counts, out=offset[1:], dtype=offset.dtype)
+    return xs, offset
+
+
+def _first_collision(values, counts) -> tuple[int, int]:
+    # Called only for non-bijections, so some value repeats.  The canonical
+    # witness's x2 is the smallest second member of any run of the preimage
+    # index, and x1 is the first member of that run.
+    import numpy as np
+    xs, offset = _preimage_index(values, counts)
+    starts = offset[:-1][counts > 1]
+    first = starts[np.argmin(xs[starts + 1])]
+    return int(xs[first]), int(xs[first + 1])
 
 
 def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
@@ -157,14 +172,16 @@ def check(f, spec: FieldSpec, *, force: bool = False) -> PermutationReport:
     import numpy as np
     guard_budget(spec, force, "exhaustive check")
     values = _as_values(f, spec)
-    missing = _missing_count(values)
     fixed = int(np.count_nonzero(values == np.arange(values.size, dtype=np.uint32)))
+    counts = np.bincount(values, minlength=values.size)
+    missing = int(np.count_nonzero(counts == 0))
     is_perm = missing == 0
     cycle_type = witness = None
     if is_perm:
+        del counts      # freed before the cycle walk
         cycle_type = _cycle_type_of_table(values)
     else:
-        x1, x2 = _first_collision(values)
+        x1, x2 = _first_collision(values, counts)
         witness = (spec.element(x1), spec.element(x2))
     return PermutationReport(
         is_permutation=is_perm,
@@ -260,24 +277,8 @@ def inverse_table(f, spec: FieldSpec, *, force: bool = False) -> InverseTable:
     import numpy as np
     guard_budget(spec, force, "inverse table", TABLE_DEGREE_LIMIT)
     values = _as_values(f, spec)
-    # Sorting the (value, x) pairs lists each value's preimages in ascending
-    # order.  The groups are taken in the order of their first preimage, the
-    # order a scan over ascending x meets the values, and become tuples one
-    # group size at a time, from min(groups, size) lists rather than a list
-    # per group.
-    pairs = np.sort(values.astype(np.uint64) << 32 | np.arange(values.size, dtype=np.uint64))
-    vs, xs = pairs >> 32, pairs & 0xFFFFFFFF
-    starts = np.flatnonzero(np.r_[True, vs[1:] != vs[:-1]])
-    sizes = np.diff(np.r_[starts, vs.size])
-    by_first = np.argsort(xs[starts])
-    starts, sizes = starts[by_first], sizes[by_first]
-    groups = np.empty(starts.size, dtype=object)
-    for size in np.unique(sizes).tolist():
-        at = np.flatnonzero(sizes == size)
-        members = xs[starts[at, None] + np.arange(size)]   # one row per group
-        tuples = zip(*members.T.tolist()) if at.size >= size else map(tuple, members.tolist())
-        groups[at] = np.fromiter(tuples, dtype=object, count=at.size)
-    return InverseTable(spec, dict(zip(vs[starts].tolist(), groups.tolist())))
+    counts = np.bincount(values, minlength=values.size)
+    return InverseTable(spec, *_preimage_index(values, counts))
 
 
 def quick_reject(f, spec: FieldSpec, sample_count: int, seed: int):
@@ -311,7 +312,8 @@ def cycle_structure(f, spec: FieldSpec, *, force: bool = False) -> tuple[tuple[i
     Raises NotAPermutationError if f does not permute the field.
     """
     guard_budget(spec, force, "cycle walk")
+    import numpy as np
     values = _as_values(f, spec)
-    if _missing_count(values):
+    if not np.bincount(values, minlength=values.size).all():
         raise NotAPermutationError("map is not a bijection")
     return _cycle_type_of_table(values)

@@ -221,6 +221,18 @@ def naive_inverse_table(values) -> dict[int, tuple[int, ...]]:
     return {v: tuple(xs) for v, xs in mapping.items()}
 
 
+def naive_first_collision(values) -> tuple[int, int] | None:
+    """The canonical collision witness by one scan over ascending x: the
+    first x2 whose value was already attained, with that value's first
+    preimage x1; None for a bijection."""
+    first: dict[int, int] = {}
+    for x, v in enumerate(values):
+        x1 = first.setdefault(int(v), x)
+        if x1 != x:
+            return x1, x
+    return None
+
+
 @functools.lru_cache(maxsize=None)
 def _naive_powers(spec) -> dict[int, list[int]]:
     """x^e over the whole field by FieldElement powers, for e in [1, 2^n - 2]."""

@@ -58,6 +58,13 @@ class TestVerify:
         assert report["is_permutation"] is False
         assert report["missing_count"] == 36
 
+    def test_force_params_rejects_m_outside_f6(self, capsys):
+        for family in ("F1", "F2", "F3", "F4", "F5"):
+            for command in (["verify"], ["invert", "--a", "0x1"]):
+                rc, out, err = run(capsys, *command, "--family", family, "--k", "1",
+                                   "--m", "3", "--force-params")
+                assert (rc, out) == (2, "") and "takes no parameter m" in err, (family, command)
+
     def test_budget_guard_exit3(self, capsys):
         rc, _, err = run(capsys, "verify", "--family", "F6", "--m", "8", "--k", "1")
         assert rc == 3 and "budget" in err

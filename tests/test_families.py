@@ -54,6 +54,20 @@ class TestInstantiate:
         with pytest.raises(ConditionViolatedError, match="no parameter m"):
             instantiate("F1", k=1, m=1)
 
+    def test_m_rejected_outside_f6_under_excluded_parameters(self):
+        # experiment mode lifts the hypotheses, not the shape of the parameters
+        for family in FamilyId:
+            if not family.uses_m:
+                with pytest.raises(ConditionViolatedError, match="takes no parameter m"):
+                    instantiate(family, k=2, m=3, enforce_hypotheses=False)
+        with pytest.raises(ConditionViolatedError, match="requires parameter m"):
+            instantiate("F6", k=2, enforce_hypotheses=False)
+        for k in (0, -1):
+            with pytest.raises(ConditionViolatedError, match="k must be a positive"):
+                instantiate("F1", k=k, enforce_hypotheses=False)
+        with pytest.raises(ConditionViolatedError, match="m must be a positive"):
+            instantiate("F6", k=1, m=0, enforce_hypotheses=False)
+
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatchError):
             instantiate("F1", k=1, spec=default_spec(4))

@@ -125,7 +125,7 @@ class TestF1Reduction:
         L1 = LinearizedPoly(spec, [(2 * k + 1, 1), (1, 1), (0, 1)])
         M = matrix_of(L1)
         assert M.cols == per_column_matrix_of(L1)
-        reduction = _f1_reduction(spec, k)
+        reduction = _f1_reduction(spec.n, spec.modulus, k)
         assert reduction.field == (spec.n, spec.modulus)    # ints only: pins no spec
         rng = random.Random(f"f1-reduction-{inst.n}")
         rhs = [0, 1] + [rng.randrange(spec.order) for _ in range(10)]
@@ -145,12 +145,15 @@ class TestF1Reduction:
             built.append(M)
             return ColumnReduction(M)
         monkeypatch.setattr(inverter, "ColumnReduction", counting)
-        monkeypatch.setattr(inverter, "_F1_REDUCTIONS", {})
+        _f1_reduction.cache_clear()
         inst = instantiate("F1", k=7)
         rng = random.Random(7)
         for _ in range(50):
             invert(inst, inst.spec.element(rng.randrange(inst.spec.order)))
-        assert len(built) == 1 and list(inverter._F1_REDUCTIONS) == [(21, inst.spec.modulus, 7)]
+        info = _f1_reduction.cache_info()
+        assert len(built) == 1 and (info.misses, info.currsize) == (1, 1)
+        _f1_reduction(21, inst.spec.modulus, 7)     # the one cached key
+        assert len(built) == 1 and _f1_reduction.cache_info().hits == info.hits + 1
 
 
 class TestTraceConsistency:
@@ -248,7 +251,7 @@ class TestBranchCensus:
         # quartic filter can reject a candidate only under excluded parameters
         for k in range(1, 11):
             spec = instantiate("F1", k=k, enforce_hypotheses=False).spec
-            dim = len(_f1_reduction(spec, k).kernel_bits)
+            dim = len(_f1_reduction(spec.n, spec.modulus, k).kernel_bits)
             assert dim == (2 if k % 3 == 2 else 0), k
 
 

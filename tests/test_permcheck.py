@@ -15,7 +15,7 @@ from permtri.permcheck import (
     inverse_table,
     quick_reject,
 )
-from oracles import naive_cycle_type, naive_inverse_table
+from oracles import naive_cycle_type, naive_first_collision, naive_inverse_table
 
 F8 = default_spec(3)
 
@@ -56,6 +56,19 @@ class TestCheck:
         assert tuple(x.bits for x in rep.collision_witness) == (1, 2)
         rep2 = check([3, 2, 3, 2], spec)
         assert tuple(x.bits for x in rep2.collision_witness) == (0, 2)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_first_collision_matches_naive_scan(self, n):
+        size = 1 << n
+        rng = np.random.default_rng(7000 + n)
+        for span in (1, 2, size // 2 + 1, size, size, size):
+            values = rng.integers(0, span, size, dtype=np.uint32)
+            expected = naive_first_collision(values.tolist())
+            if expected is not None:
+                counts = np.bincount(values, minlength=size)
+                assert permcheck._first_collision(values, counts) == expected
+            witness = check(values, default_spec(n)).collision_witness
+            assert (witness and tuple(x.bits for x in witness)) == expected
 
     def test_budget_guard(self):
         big = FieldSpec(29)
@@ -132,10 +145,15 @@ class TestInverseTable:
         ref = naive_inverse_table(values)
         # the mapping itself: same keys in the same (first-preimage) order,
         # Python ints throughout, ascending preimage tuples
-        assert table._map == ref
-        assert list(table.attained()) == list(ref)
-        assert all(type(v) is int for v in table.attained())
-        assert all(type(x) is int for xs in table._map.values() for x in xs)
+        attained = table.attained()
+        assert attained == list(ref)
+        assert all(type(v) is int for v in attained)
+        got = {v: table.preimages(v) for v in attained}
+        assert {v: tuple(x.bits for x in xs) for v, xs in got.items()} == ref
+        assert all(type(x.bits) is int for xs in got.values() for x in xs)
+        assert all(v in table for v in attained)
+        unattained = set(range(spec.order)).difference(ref)
+        assert all(table.preimages(v) == () and v not in table for v in unattained)
         assert table.all_singletons == all(len(xs) == 1 for xs in ref.values())
         assert len(table) == len(ref)
 
@@ -155,6 +173,47 @@ class TestInverseTable:
             # values drawn from [0, span): collisions of every multiplicity
             values = [rng.randrange(span) for _ in range(spec.order)]
             self.assert_matches_naive_scan(values, spec)
+
+    @pytest.mark.parametrize("n", [17, 20])
+    def test_wide_tables_match_naive_scan(self, n):
+        # The whole attained order, and the preimages of a seeded sample of
+        # keys: a pass over every key would take seconds per table here.
+        spec = default_spec(n)
+        size = spec.order
+        exp_np, log_np = spec.exp_log_arrays()   # x^2 = exp[2 log x], 0^2 = 0
+        square = np.zeros(size, dtype=np.uint32)
+        square[1:] = exp_np[2 * log_np[1:].astype(np.int64) % exp_np.size]
+        rng = np.random.default_rng(6000 + n)
+        late = rng.permutation(size).astype(np.uint32)
+        late[size - 5] = late[size // 3]      # one repeat, far into the scan
+        tables = {
+            "identity": np.arange(size, dtype=np.uint32),
+            "constant": np.full(size, 3, dtype=np.uint32),
+            "x^2 + x": square ^ np.arange(size, dtype=np.uint32),
+            "random": rng.integers(0, size, size, dtype=np.uint32),
+            "late repeat": late,
+        }
+        keys = [0, 1, 2, size - 2, size - 1] + rng.integers(0, size, 2000).tolist()
+        for name, values in tables.items():
+            ref = naive_inverse_table(values.tolist())
+            table = inverse_table(values, spec)
+            assert table.attained() == list(ref), name
+            assert len(table) == len(ref), name
+            assert table.all_singletons == (len(ref) == size), name
+            for v in keys:
+                assert tuple(x.bits for x in table.preimages(v)) == ref.get(v, ()), name
+                assert (v in table) == (v in ref), name
+            report = check(values, spec)
+            witness = report.collision_witness
+            assert (witness and tuple(x.bits for x in witness)) == \
+                naive_first_collision(values.tolist()), name
+
+    def test_keys_outside_the_field_have_no_preimages(self):
+        table = inverse_table(lambda e: e, F8)
+        for key in (-1, -8, -9, 8, 9, 16, 2 ** 40, -(2 ** 40)):
+            assert table.preimages(key) == () and table[key] == ()
+            assert key not in table
+        assert table.preimages(7) == (F8.element(7),) and 7 in table
 
 
 class TestQuickReject:
