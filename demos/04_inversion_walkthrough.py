@@ -48,8 +48,9 @@ x2, trace2 = invert(inst, a2)
 print(f"invert F1(k=1) at a=0x7: x = {x2}, epsilon = {trace2.epsilon}")
 print(f"check: f({x2}) = {evaluate(inst, x2)}\n")
 
-# F6 runs the cube-root-of-unity pipeline: solve a linearized equation in
-# z, filter the spurious root z = 1, then assemble x from beta and theta
+# F6 runs the cube-root-of-unity pipeline: its linearized equation in z has
+# exactly the roots 1 (always rejected) and 1 + lambda, so z = 1 + lambda is
+# computed by one power, and x is assembled from beta and theta
 inst6 = instantiate("F6", m=2, k=3)
 x6, trace6 = invert(inst6, inst6.spec.element(0xA5))
 print(f"invert F6(m=2,k=3) at a=0xa5: x = {x6}")

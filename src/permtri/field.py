@@ -18,7 +18,8 @@ Three routes give the same values bit for bit:
   of its argument.  Frobenius powers and squarings are ceil(n/8) lookups,
   ``mul`` is a 4-bit windowed comb whose high half is reduced by such a
   table, ``pow`` is a Frobenius chain (x^e as a product of Frobenius
-  images of x^(2^L - 1), one per run of ones in e; see
+  images of x^(2^L - 1), one per run of ones in e, or a chain with stride
+  k when the ones of e are s, s + k, s + 2k, ... mod n; see
   ``_frobenius_chain``) and ``inv`` is the extended Euclid algorithm on
   the polynomials;
 * ``mul_baseline``, portable shift-and-XOR: the reference for both.
@@ -29,6 +30,7 @@ polynomial with the smallest integer encoding.  Degree 8 is the familiar
 """
 
 import functools
+import math
 import threading
 from array import array
 
@@ -118,21 +120,46 @@ def _x_pow_2e(j: int, m: int) -> int:
     return r
 
 
+def _stride_chain(steps: list, stride: int, n: int):
+    """chain(l) appends to ``steps`` what builds Q_l = x^(sum of 2^(i*stride),
+    i < l) by Q_2l = Q_l^(2^(l*stride)) Q_l, Q_(l+1) = Q_l^(2^stride) x, and
+    returns Q_l's register; each Q_l is built once."""
+    reg_of = {1: 0}
+
+    def chain(length):
+        if length not in reg_of:
+            if length % 2:
+                step = (chain(length - 1), stride, 0)
+            else:
+                half = chain(length // 2)
+                step = (half, length // 2 * stride % n, half)
+            steps.append(step)
+            reg_of[length] = len(steps)
+        return reg_of[length]
+    return chain
+
+
 @functools.lru_cache(maxsize=256)
 def _frobenius_chain(e: int, n: int) -> tuple:
     """A straight-line program for x^e in F_{2^n}, 0 < e < 2^n - 1.
 
-    e is split into its runs of ones, read cyclically since x^(2^n) = x,
-    so a run (s, L) of L ones from bit s is x^((2^L - 1) 2^s), the s-th
+    Bits are read cyclically, since x^(2^n) = x.  The runs program splits
+    e into its runs of ones: a run (s, L) of L ones from bit s is the s-th
     Frobenius image of P_L = x^(2^L - 1).  Each distinct P_L is built once
     by the Itoh-Tsujii chain P_2l = P_l^(2^l) P_l, P_(l+1) = P_l^2 x, and
-    the runs are joined from the highest offset down, Horner-fashion.
-    Returns (steps, shift): registers start as [x], step (i, j, k) appends
-    regs[i]^(2^j) * regs[k], and x^e is the last register to the 2^shift.
+    the runs are joined from the highest offset down, Horner-fashion.  If
+    the t ones of e are instead one progression s, s + k, ..., s + (t-1)k
+    mod n, as in F6's d and in 1/(2^k - 1), the stride program builds the
+    same chain with stride k, Q_2l = Q_l^(2^(lk)) Q_l, Q_(l+1) = Q_l^(2^k) x,
+    and x^e is Q_t to the 2^s.  The shorter program is kept, the runs
+    program on a tie.  Returns (steps, shift): registers start as [x],
+    step (i, j, k) appends regs[i]^(2^j) * regs[k], and x^e is the last
+    register to the 2^shift.
     """
+    mask = (1 << n) - 1
     z = next(i for i in range(n) if not e >> i & 1)     # a zero bit exists: e < 2^n - 1
     s = (z + 1) % n
-    rot = ((e >> s) | (e << (n - s))) & ((1 << n) - 1)  # bit n-1 is the zero bit z
+    rot = ((e >> s) | (e << (n - s))) & mask            # bit n-1 is the zero bit z
     runs = []
     while rot:
         low = (rot & -rot).bit_length() - 1
@@ -143,24 +170,24 @@ def _frobenius_chain(e: int, n: int) -> tuple:
         s += low + length
     runs.sort(reverse=True)           # highest offset first
     steps = []
-    reg_of = {1: 0}                   # run length L -> register holding P_L
-
-    def chain(length):
-        if length not in reg_of:
-            if length % 2:
-                step = (chain(length - 1), 1, 0)
-            else:
-                half = chain(length // 2)
-                step = (half, length // 2, half)
-            steps.append(step)
-            reg_of[length] = len(steps)
-        return reg_of[length]
-
+    chain = _stride_chain(steps, 1, n)
     acc = chain(runs[0][1])
     for (above, _), (offset, length) in zip(runs, runs[1:]):
         k = chain(length)
         steps.append((acc, above - offset, k))
         acc = len(steps)
+    t = e.bit_count()
+    # a stride program takes t.bit_length() + t.bit_count() - 2 steps: look for
+    # one only where that is shorter (never for one run, the k = 1 program)
+    if len(steps) > t.bit_length() + t.bit_count() - 2:
+        for k in range(2, n):
+            # e rotated by k shares t - 1 ones with e iff its ones form one
+            # stride-k progression; t*gcd(k, n) < n rules out a whole orbit
+            after = ((e << k) | (e >> (n - k))) & mask
+            if (e & after).bit_count() == t - 1 and t * math.gcd(k, n) < n:
+                stride_steps = []
+                _stride_chain(stride_steps, k, n)(t)
+                return tuple(stride_steps), (e & ~after).bit_length() - 1
     return tuple(steps), runs[-1][0]
 
 
@@ -577,12 +604,15 @@ def cube_root_of_unity(spec: FieldSpec) -> FieldElement:
     """The smaller primitive cube root of unity w (w^2 + w + 1 = 0).
 
     Exists iff 3 divides 2^n - 1, i.e. iff n is even.  The two roots differ
-    by 1, so normalizing to the smaller bit pattern is deterministic.
+    by 1, so normalizing to the smaller bit pattern is deterministic, and
+    no generator is needed: y^((2^n - 1)/3) is 1 or one of the two roots.
     """
     if spec.n % 2:
         raise NoCubeRootError(f"n={spec.n} is odd, 3 does not divide 2^n - 1")
     if spec._cube_root is None:       # cached: a race only recomputes it
-        w = spec.pow(spec.generator(), (spec.order - 1) // 3)
+        y = 2
+        while (w := spec.pow(y, (spec.order - 1) // 3)) == 1:
+            y += 1
         spec._cube_root = min(w, w ^ 1)
     return FieldElement(spec, spec._cube_root)
 

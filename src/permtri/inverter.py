@@ -11,17 +11,22 @@ final-validated, and a candidate set with no valid member signals a bug or
 an invalid instance, never a caller error.  Cases that no input reaches
 are not coded: F6's linear coefficients never vanish and F5 needs no case
 at a = 1; F4's alpha = 0 branch, which no a reaches up to n = 17, stays
-because it guards a division.
+because it guards a division.  F6's linearized equation is solved in
+closed form whenever gcd(k, n) = 1, as for every valid (m, k): its roots
+are 1, which never passes, and 1 + lambda, so only 1 + lambda is tried.
+Excluded pairs (experiment mode) keep the general GF(2)-linear solve.
 
 Throughout, b and c denote the conjugates a^(2^k) and a^(2^2k), and
 epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
 """
 
 import functools
+import math
 from dataclasses import dataclass, fields
 
 from .families import FamilyId, FamilyInstance, trinomial_bits
-from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, cube_root_of_unity
+from .field import (TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, cube_root_of_unity,
+                    fractional_power)
 from .linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 
 
@@ -203,6 +208,23 @@ def _invert_f5(inst: FamilyInstance, a: int, b: int, c: int):
     return [(spec.div(num, den), {})]
 
 
+def _f6_from_z(spec, k: int, m: int, w: int, a: int, z: int):
+    # the t/beta/theta pipeline from a root z of c1 z^(2^k) + c0 z = A, with
+    # every check kept: [(x, extras)] if z passes, else []
+    t = spec.inv(z)
+    beta = t ^ w
+    if spec.pow(beta, (1 << (2 * m)) + 1) != 1:
+        return []      # beta is no (2^2m + 1)-th root of unity (z = 1 gives beta = w^2)
+    theta = spec.pow(beta, (1 << k) - 1)
+    den = 1 ^ theta ^ spec.mul(theta, beta)  # 1 + beta^(2^k - 1) + beta^(2^k)
+    if den == 0:
+        return []
+    x = spec.div(a, den)
+    if spec.frobenius(x, 2 * m) != spec.mul(theta, x):
+        return []      # conjugacy x^(2^2m) = theta*x must hold
+    return [(x, {"w": w, "z": z, "t": t, "beta": beta, "theta": theta})]
+
+
 def _invert_f6(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
@@ -213,24 +235,16 @@ def _invert_f6(inst: FamilyInstance, a: int, b: int, c: int):
     # never divides, so A/a is neither w nor w^2 and neither coefficient vanishes
     c1 = spec.mul(w, big_a) ^ a                # coefficient of z^(2^k)
     c0 = spec.mul(w ^ 1, big_a) ^ a            # coefficient of z; w^2 = w + 1
+    if math.gcd(k, spec.n) == 1:
+        # c1 + c0 = A makes z = 1 a root, and the kernel is {0, lambda} with
+        # lambda^(2^k - 1) = c0/c1, so the roots are 1, which never passes,
+        # and 1 + lambda, nonzero as c0 != c1
+        lam = fractional_power(spec.element(spec.div(c0, c1)), 1, (1 << k) - 1).bits
+        return _f6_from_z(spec, k, m, w, a, 1 ^ lam)
+    # only excluded (m, k) get here (k even or gcd(m, k) > 1): try every root
     L = LinearizedPoly(spec, [(k, c1), (0, c0)])
-    unity_order = (1 << (2 * m)) + 1
-    candidates = []
-    for sol in solve_affine(L, spec.element(big_a)):   # z != 0, since L(0) = 0 != A
-        z = sol.bits
-        t = spec.inv(z)
-        beta = t ^ w
-        if spec.pow(beta, unity_order) != 1:
-            continue   # spurious root (z = 1 always solves the equation but fails here)
-        theta = spec.pow(beta, (1 << k) - 1)
-        den = 1 ^ theta ^ spec.mul(theta, beta)  # 1 + beta^(2^k - 1) + beta^(2^k)
-        if den == 0:
-            continue
-        x = spec.div(a, den)
-        if spec.frobenius(x, 2 * m) != spec.mul(theta, x):
-            continue   # conjugacy x^(2^2m) = theta*x must hold
-        candidates.append((x, {"w": w, "z": z, "t": t, "beta": beta, "theta": theta}))
-    return candidates
+    return [pair for sol in solve_affine(L, spec.element(big_a))   # z != 0: L(0) = 0 != A
+            for pair in _f6_from_z(spec, k, m, w, a, sol.bits)]
 
 
 _DISPATCH = {

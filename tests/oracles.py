@@ -284,3 +284,90 @@ def naive_search_csv(spec, samples: int, seed: int) -> str:
                 tag = tags.get((e1, e2, e3), ",,")
                 lines.append(f"{e1},{e2},{e3},{str(perm).lower()},{tag}")
     return "\n".join(lines) + "\n"
+
+
+def runs_only_chain(e: int, n: int) -> tuple:
+    """The Frobenius-chain program for x^e that ``field._frobenius_chain``
+    emitted before it knew stride programs: one Itoh-Tsujii chain over the
+    cyclic runs of ones of e, joined Horner-fashion; same (steps, shift)
+    format."""
+    z = next(i for i in range(n) if not e >> i & 1)
+    s = (z + 1) % n
+    rot = ((e >> s) | (e << (n - s))) & ((1 << n) - 1)
+    runs = []
+    while rot:
+        low = (rot & -rot).bit_length() - 1
+        rot >>= low
+        length = (~rot & (rot + 1)).bit_length() - 1
+        runs.append(((s + low) % n, length))
+        rot >>= length
+        s += low + length
+    runs.sort(reverse=True)
+    steps = []
+    reg_of = {1: 0}
+
+    def chain(length):
+        if length not in reg_of:
+            if length % 2:
+                step = (chain(length - 1), 1, 0)
+            else:
+                half = chain(length // 2)
+                step = (half, length // 2, half)
+            steps.append(step)
+            reg_of[length] = len(steps)
+        return reg_of[length]
+
+    acc = chain(runs[0][1])
+    for (above, _), (offset, length) in zip(runs, runs[1:]):
+        k = chain(length)
+        steps.append((acc, above - offset, k))
+        acc = len(steps)
+    return tuple(steps), runs[-1][0]
+
+
+def solve_based_f6_invert(inst, a: int):
+    """``invert`` for an F6 instance by the inverter's former route: every
+    solution z of c1 z^(2^k) + c0 z = A from ``solve_affine`` (z = 1
+    included) goes through the t/beta/theta pipeline, and the survivor that
+    re-evaluates to a under ``oracle_trinomial`` is chosen.  Returns
+    (x, trace) as bits and an ``InversionTrace``, or (None, None) when no
+    candidate maps to a (possible only for excluded parameters)."""
+    from permtri.field import cube_root_of_unity
+    from permtri.inverter import InversionTrace
+    from permtri.linalg2 import LinearizedPoly, solve_affine
+
+    spec = inst.spec
+    k, m = inst.params.k, inst.params.m
+    elem = spec.element
+    b = spec.frobenius(a, k)
+    c = spec.frobenius(b, k)
+    pairs = [(0, {})]
+    if a:
+        w = cube_root_of_unity(spec).bits
+        big_a = spec.frobenius(a, 2 * m)
+        c1 = spec.mul(w, big_a) ^ a
+        c0 = spec.mul(w ^ 1, big_a) ^ a
+        pairs = []
+        for sol in solve_affine(LinearizedPoly(spec, [(k, c1), (0, c0)]), elem(big_a)):
+            z = sol.bits
+            t = spec.inv(z)
+            beta = t ^ w
+            if square_multiply_pow(spec, beta, (1 << (2 * m)) + 1) != 1:
+                continue
+            theta = square_multiply_pow(spec, beta, (1 << k) - 1)
+            den = 1 ^ theta ^ spec.mul(theta, beta)
+            if den == 0:
+                continue
+            x = spec.div(a, den)
+            if spec.frobenius(x, 2 * m) != spec.mul(theta, x):
+                continue
+            pairs.append((x, {"w": w, "z": z, "t": t, "beta": beta, "theta": theta}))
+    chosen, extras = next(((x, extras) for x, extras in pairs
+                           if oracle_trinomial(inst, x) == a), (None, None))
+    if chosen is None:
+        return None, None
+    trace = InversionTrace(a=elem(a), b=elem(b), c=elem(c), epsilon=elem(a ^ b ^ c),
+                           candidates=tuple(elem(x) for x, _ in pairs),
+                           chosen=elem(chosen),
+                           **{key: elem(v) for key, v in extras.items()})
+    return chosen, trace

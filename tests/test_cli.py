@@ -90,8 +90,8 @@ class TestVerify:
         ["verify", "--family", "F4", "--k", "3", "--modulus=-0x11b"],
         ["search", "--n", "8", "--modulus=-0x11b"],
     ], ids=["verify", "search"])
-    def test_negative_modulus_exit2_without_hanging(self, argv):
-        proc = subprocess.run([sys.executable, "-m", "permtri.cli", *argv],
+    def test_negative_modulus_exit2_without_hanging(self, argv, src_env):
+        proc = subprocess.run([sys.executable, "-m", "permtri.cli", *argv], env=src_env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "nonnegative" in proc.stderr
@@ -179,14 +179,14 @@ class TestSearch:
         rc, out, err = run(capsys, "search", "--n", "9", "--modulus", "0x11B")
         assert rc == 2 and "degree 8" in err and out == ""
 
-    def test_force_above_table_limit_exits_2_before_allocating(self):
+    def test_force_above_table_limit_exits_2_before_allocating(self, src_env):
         # the pair texts alone would be about 2.2e12 strings at n = 21; under a
         # 2 GiB address-space limit building them first ends in MemoryError
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         proc = subprocess.run([sys.executable, "-m", "permtri.cli", "search", "--n", "21",
-                               "--force"], capture_output=True, text=True, timeout=60,
-                              preexec_fn=limit)
+                               "--force"], env=src_env, capture_output=True, text=True,
+                              timeout=60, preexec_fn=limit)
         assert proc.returncode == 2 and proc.stdout == ""
         assert "log tables limited to n <= 20" in proc.stderr
 
@@ -403,17 +403,17 @@ class TestFamiliesCmd:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
+    def test_installed_entry_point(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "permtri.cli", "invert",
              "--family", "F1", "--k", "1", "--a", "0x2"],
-            capture_output=True, text=True, timeout=120)
+            env=src_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert proc.stdout.strip() == "0x5"
 
-    def test_unknown_family_exit2(self):
+    def test_unknown_family_exit2(self, src_env):
         proc = subprocess.run(
             [sys.executable, "-m", "permtri.cli", "verify",
              "--family", "F9", "--k", "1"],
-            capture_output=True, text=True, timeout=120)
+            env=src_env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2

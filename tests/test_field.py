@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from permtri import field
 from permtri.field import (
     DEFAULT_MODULI,
     FieldError,
@@ -19,6 +20,7 @@ from permtri.field import (
     TABLE_DEGREE_LIMIT,
     ZeroBaseError,
     ZeroInverseError,
+    _frobenius_chain,
     cube_root_of_unity,
     default_spec,
     fractional_power,
@@ -30,6 +32,7 @@ from oracles import (
     exhaustive_inverse,
     naive_pow,
     repeated_squaring_frobenius,
+    runs_only_chain,
     schoolbook_mulmod,
     square_multiply_pow,
     trial_division_irreducible,
@@ -153,7 +156,7 @@ class TestByteSlicedRoute:
                 assert all(spec.frobenius(a, j) == logs.frobenius(a, j) for j in range(n + 1))
                 assert spec.sqrt(a) == logs.sqrt(a)
 
-    def test_scalar_route_does_not_load_numpy(self):
+    def test_scalar_route_does_not_load_numpy(self, src_env):
         # numpy is imported only by the array functions, so the package and
         # a wide-field inversion leave it unloaded
         code = ("import sys\n"
@@ -161,7 +164,7 @@ class TestByteSlicedRoute:
                 "inst = permtri.instantiate('F6', k=5, m=7)\n"
                 "x, _ = permtri.invert(inst, inst.spec.element(0x1234567))\n"
                 "print('numpy' in sys.modules)\n")
-        proc = subprocess.run([sys.executable, "-c", code],
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
@@ -173,7 +176,9 @@ class TestByteSlicedRoute:
         # pow splits the reduced exponent into runs of ones, read cyclically:
         # every run at every offset (those with offset + length > n wrap past
         # bit n-1 once reduced), wrapped runs next to another run, the edge
-        # exponents, and every family instance's exponents at this n
+        # exponents, and every family instance's exponents at this n; and
+        # seeded stride-k progressions of t ones from bit s, which take the
+        # stride program where it is shorter, and patterns it must not take
         from permtri.families import enumerate_instances, instantiate
 
         modulus = next(itertools.islice(irreducibles(n), 0 if which == "default" else 1, None))
@@ -185,6 +190,16 @@ class TestByteSlicedRoute:
         exponents += [((1 << length) - 1) << (n - 2) | 1 << (n // 2)
                       for length in range(3, n // 2)]
         exponents += [0, 1, top - 1, top, 2 * top, 7 * top]
+        for _ in range(60):
+            k, t, s = rng.randrange(1, n), rng.randrange(1, n), rng.randrange(n)
+            e = 0
+            for i in range(t):
+                e |= 1 << (s + i * k) % n
+            exponents.append(e)
+        # a whole orbit of the shift by k, gcd(k, n) = g > 1, beside one more
+        # one: it shares t - 1 ones with its shift, yet is no progression
+        exponents += [sum(1 << j for j in range(0, n, g)) | 2
+                      for g in range(2, n) if n % g == 0]
         for inst in enumerate_instances(n):
             if inst.n == n:
                 inst = instantiate(inst.family, inst.params, spec)
@@ -193,6 +208,41 @@ class TestByteSlicedRoute:
             for a in (rng.randrange(2, spec.order), 1, 0):
                 assert spec.pow(a, e) == square_multiply_pow(spec, a, e), (a, e)
         assert not spec.tables_built
+
+    def test_f6_exponents_take_short_stride_programs(self):
+        # d = sum of 2^(ik), i <= 2m, and 1/(2^k - 1) mod 2^n - 1, which is
+        # sum of 2^(ik), i < t, for tk = 1 (mod n): both stride-k progressions
+        from permtri.families import FamilyId, enumerate_instances
+
+        for inst in enumerate_instances(32, (FamilyId.F6,)):
+            if inst.n <= TABLE_DEGREE_LIMIT:
+                continue
+            n, k = inst.n, inst.params.k
+            top = (1 << n) - 1
+            assert len(_frobenius_chain(inst.exponents[0] % top, n)[0]) <= 6
+            assert len(_frobenius_chain(pow((1 << k) - 1, -1, top), n)[0]) <= 8
+
+    def test_no_wide_f1_to_f5_exponent_gets_a_longer_program(self, monkeypatch):
+        # every exponent that pow meets in a seeded invert stream over the
+        # wide F1-F5 instances: never longer than the runs-only program
+        from permtri.families import FamilyId, enumerate_instances
+        from permtri.inverter import invert
+
+        seen = set()
+
+        def recording(e, n):
+            seen.add((e, n))
+            return chain(e, n)
+        chain = field._frobenius_chain
+        monkeypatch.setattr(field, "_frobenius_chain", recording)
+        rng = random.Random("wide-f1-f5-programs")
+        for inst in enumerate_instances(32, [f for f in FamilyId if f is not FamilyId.F6]):
+            if inst.n > TABLE_DEGREE_LIMIT:
+                for _ in range(20):
+                    invert(inst, inst.spec.element(rng.randrange(inst.spec.order)))
+        assert len(seen) > 30
+        for e, n in seen:
+            assert len(chain(e, n)[0]) <= len(runs_only_chain(e, n)[0]), (e, n)
 
     @pytest.mark.parametrize("n", range(21, 33))
     def test_frobenius_tables_composed_in_descending_order(self, n):
@@ -466,7 +516,7 @@ class TestSpecAndElements:
                 x = spec.mul(x, g)
             assert x == 1 and len(seen) == m
 
-    def test_negative_modulus_rejected_without_hanging(self):
+    def test_negative_modulus_rejected_without_hanging(self, src_env):
         # bit_length() ignores the sign, so -0x11b once passed the degree
         # and constant-term checks and then looped forever in _poly_mod
         code = ("from permtri.field import FieldSpec, is_irreducible\n"
@@ -475,7 +525,7 @@ class TestSpecAndElements:
                 "    FieldSpec(8, -0x11b)\n"
                 "except ValueError as exc:\n"
                 "    print(exc)\n")
-        proc = subprocess.run([sys.executable, "-c", code],
+        proc = subprocess.run([sys.executable, "-c", code], env=src_env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert "nonnegative" in proc.stdout

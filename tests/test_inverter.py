@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,7 +17,8 @@ from permtri import inverter
 from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
 from permtri.linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 from permtri.permcheck import inverse_table
-from oracles import oracle_trinomial, per_column_matrix_of, rref_solve_bits
+from oracles import (oracle_trinomial, per_column_matrix_of, rref_solve_bits,
+                     solve_based_f6_invert)
 
 
 class TestAnchors:
@@ -272,6 +274,51 @@ class TestF6SpuriousRoot:
             assert tr.z.bits != 1
             beta_spurious = spec.inv(1) ^ w    # beta for z = 1 is 1 + w = w^2
             assert spec.pow(beta_spurious, (1 << 4) + 1) != 1
+
+
+class TestF6ClosedForm:
+    """For gcd(k, n) = 1, which every valid (m, k) has, ``_invert_f6`` takes
+    the one root z = 1 + lambda instead of solving for {1, 1 + lambda}; it
+    must agree with the solve-based route in ``oracles``, trace included."""
+
+    @staticmethod
+    def assert_matches_oracle(inst, a):
+        want_x, want_trace = solve_based_f6_invert(inst, a)
+        if want_x is None:
+            with pytest.raises(NoValidCandidateError):
+                invert(inst, inst.spec.element(a))
+            return None
+        x, trace = invert(inst, inst.spec.element(a))
+        assert x.bits == want_x
+        assert trace.to_json_dict() == want_trace.to_json_dict()
+        return trace
+
+    @pytest.mark.parametrize("inst", list(enumerate_instances(12, (FamilyId.F6,))),
+                             ids=instance_id)
+    def test_whole_field_up_to_n12(self, inst):
+        assert self.assert_matches_oracle(inst, 0).candidates == (inst.spec.zero,)
+        for a in range(1, inst.spec.order):
+            trace = self.assert_matches_oracle(inst, a)
+            assert trace.z.bits != 1 and len(trace.candidates) == 1
+
+    def test_seeded_values_n16_to_32(self):
+        instances = [i for i in enumerate_instances(32, (FamilyId.F6,)) if i.n >= 16]
+        rng = random.Random("f6-closed-form")
+        for _ in range(2000):
+            inst = rng.choice(instances)
+            trace = self.assert_matches_oracle(inst, rng.randrange(1, inst.spec.order))
+            assert trace.z.bits != 1 and len(trace.candidates) == 1
+
+    def test_excluded_pairs_keep_the_solve(self):
+        # every excluded (m, k) has gcd(k, n) > 1: k even or gcd(m, k) > 1
+        for m in (1, 2):
+            for k in range(1, 4 * m):
+                if k % 2 and math.gcd(m, k) == 1:
+                    continue
+                inst = instantiate("F6", m=m, k=k, enforce_hypotheses=False)
+                assert math.gcd(k, inst.n) > 1
+                for a in range(inst.spec.order):
+                    self.assert_matches_oracle(inst, a)
 
 
 class TestErrorPaths:
