@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, default_spec
 
+VALUE_CHUNK = 1 << 15    # points per step of value_table's pass: its buffers stay in cache
+
 
 class ConditionViolatedError(Exception):
     """Family hypothesis violated; the message names the broken condition."""
@@ -225,25 +227,36 @@ def evaluate(inst: FamilyInstance, x: FieldElement) -> FieldElement:
 def value_table(inst: FamilyInstance):
     """f over the whole field as a numpy uint32 array indexed by x.bits.
 
-    Uses antilog-table gathers for n <= TABLE_DEGREE_LIMIT (the table
-    build is cached on the FieldSpec) and the scalar kernel, one element
-    at a time, above that.
+    For n <= TABLE_DEGREE_LIMIT, x^e = exp[e * log x mod m], m = 2^n - 1, for
+    x != 0.  As 2^n = 1 (mod m), a = e * log x folds to (a & m) + (a >> n),
+    below 2m for a reduced e <= m: it indexes the doubled antilog buffer of
+    ``build_tables`` with no modulo.  One pass over x in chunks of VALUE_CHUNK
+    points reuses cache-sized buffers; x^1 terms are x.  Above the limit the
+    scalar kernel runs one element at a time.
     """
     import numpy as np
     spec = inst.spec
     reduced = inst.reduced_exponents()
-    out = np.zeros(spec.order, dtype=np.uint32)   # f(0) = 0: all exponents >= 1
-    if spec.n <= TABLE_DEGREE_LIMIT:
-        exp_np, log_np = spec.exp_log_arrays()
-        logs = log_np[1:].astype(np.uint64)
-        idx = np.empty_like(logs)
-        for e in reduced:   # x^e = exp[e * log x mod 2^n - 1], e <= 2^n - 1
-            np.remainder(np.multiply(logs, e, out=idx), exp_np.size, out=idx)
-            out[1:] ^= exp_np[idx]
-    else:
+    if spec.n > TABLE_DEGREE_LIMIT:
+        out = np.zeros(spec.order, dtype=np.uint32)   # f(0) = 0: all exponents >= 1
         out[1:] = np.fromiter(
             (trinomial_bits(spec, reduced, x) for x in range(1, spec.order)),
             dtype=np.uint32, count=spec.order - 1)
+        return out
+    exp_np, log_np = spec.exp_log_arrays()
+    exp2, m = exp_np.base, exp_np.size     # exp_np is the first half of the doubled buffer
+    others = [e for e in reduced if e != 1]      # x^1 terms cancel in pairs; one left is x
+    out = (np.zeros if len(others) % 2 else np.arange)(spec.order, dtype=np.uint32)
+    size = min(VALUE_CHUNK, m)
+    a, low, vals = np.empty(size, np.intp), np.empty(size, np.intp), np.empty(size, np.uint32)
+    for lo in range(1, spec.order, size):
+        c = min(size, spec.order - lo)
+        for e in others:
+            np.multiply(log_np[lo:lo + c], e, out=a[:c], dtype=np.intp)
+            np.bitwise_and(a[:c], m, out=low[:c])
+            np.add(np.right_shift(a[:c], spec.n, out=a[:c]), low[:c], out=a[:c])
+            # every index is below 2m, so "clip" never acts; "raise" would buffer out
+            out[lo:lo + c] ^= np.take(exp2, a[:c], out=vals[:c], mode="clip")
     return out
 
 
@@ -254,7 +267,7 @@ def enumerate_params(family: FamilyId | str, n_max: int) -> list[tuple[int, Fami
         raise ValueError("n_max must be >= 2")
     out = []
     for m in range(1, n_max // 4 + 1) if family.uses_m else (None,):   # F6 has n = 4m
-        for k in range(1, n_max):
+        for k in range(1, n_max, 2 if family.uses_m else 1):   # F6 needs k odd
             params = FamilyParams(k=k, m=m)
             n = field_degree(family, params)
             if n > n_max or k >= n:

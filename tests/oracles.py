@@ -371,3 +371,37 @@ def solve_based_f6_invert(inst, a: int):
                            chosen=elem(chosen),
                            **{key: elem(v) for key, v in extras.items()})
     return chosen, trace
+
+
+def remainder_value_table(inst):
+    """``families.value_table`` as its log-table route was before the
+    chunked kernel: x^e = exp[(e * log x) mod 2^n - 1] over the whole field
+    at once, with a uint64 remainder and a fancy gather per exponent."""
+    import numpy as np
+    spec = inst.spec
+    out = np.zeros(spec.order, dtype=np.uint32)
+    exp_np, log_np = spec.exp_log_arrays()
+    logs = log_np[1:].astype(np.uint64)
+    idx = np.empty_like(logs)
+    for e in inst.reduced_exponents():
+        np.remainder(np.multiply(logs, e, out=idx), exp_np.size, out=idx)
+        out[1:] ^= exp_np[idx]
+    return out
+
+
+def every_k_params(family, n_max: int) -> list:
+    """``families.enumerate_params`` as it was before F6 stepped over odd k
+    only: every k in 1..n-1 goes through the parameter predicate."""
+    from permtri.families import FamilyId, FamilyParams, _params_violation, field_degree
+
+    family = FamilyId(family)
+    out = []
+    for m in range(1, n_max // 4 + 1) if family.uses_m else (None,):
+        for k in range(1, n_max):
+            params = FamilyParams(k=k, m=m)
+            n = field_degree(family, params)
+            if n > n_max or k >= n:
+                break
+            if _params_violation(family, params) is None:
+                out.append((n, params))
+    return out

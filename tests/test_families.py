@@ -1,13 +1,16 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from permtri.families import (
+    VALUE_CHUNK,
     ConditionViolatedError,
     DegreeMismatchError,
     FamilyId,
+    FamilyInstance,
     FamilyParams,
     check_gcd_identities,
     enumerate_instances,
@@ -21,7 +24,7 @@ from permtri.families import (
 )
 from permtri import families
 from permtri.field import FieldSpec, default_spec, irreducibles
-from oracles import naive_pow
+from oracles import every_k_params, naive_pow, remainder_value_table
 
 
 class TestInstantiate:
@@ -157,7 +160,63 @@ class TestEvaluate:
                 assert scalar.tolist() == tables.tolist(), (alt, hex(modulus))
 
 
+class TestValueTableKernel:
+    """The chunked, modulo-free log-table kernel of ``value_table``."""
+
+    def test_equals_remainder_kernel_on_every_instance(self):
+        # every instance with n <= 20, under the default modulus and the
+        # second irreducible one (none at n = 2): same dtype, same bytes.
+        # x runs over [1, 2^n) in steps of VALUE_CHUNK, so n = 20 crosses
+        # chunk seams and ends on a short chunk
+        assert ((1 << 20) - 1) // VALUE_CHUNK > 1 and ((1 << 20) - 1) % VALUE_CHUNK
+        for inst in enumerate_instances(20):
+            for modulus in itertools.islice(irreducibles(inst.n), 2):
+                alt = instantiate(inst.family, inst.params, FieldSpec(inst.n, modulus))
+                table = value_table(alt)
+                expected = remainder_value_table(alt)
+                assert table.dtype == expected.dtype
+                assert table.tobytes() == expected.tobytes(), (alt, hex(modulus))
+
+    @pytest.mark.parametrize("n", [3, 16, 17, 20])
+    def test_edge_triples_match_scalar_kernel(self, n):
+        # repeated x^1 terms, e = 2^n - 1 (x^e = 1 for x != 0, the largest
+        # log-sum) and an exponent that reduces from a multiple of 2^n - 1
+        spec = default_spec(n)
+        m = spec.order - 1
+        for triple in [(1, 1, 1), (2, 1, 1), (m, 1, 1), (2 * m, 3, 5)]:
+            inst = FamilyInstance(FamilyId.F1, FamilyParams(k=1), spec, triple)
+            table = value_table(inst)
+            assert table[0] == 0
+            assert table.tolist() == [trinomial_bits(spec, triple, x)
+                                      for x in range(spec.order)], (n, triple)
+
+    @pytest.mark.parametrize("triple", ["family", (5, 3, 2)])
+    def test_n20_allocates_no_field_sized_temporaries(self, triple):
+        # with the tables built, the traced peak of one call is the 4 MiB
+        # output plus the chunk buffers, which stay below 1 MiB
+        inst = next(inst for inst in enumerate_instances(20) if inst.n == 20)
+        if triple != "family":
+            inst = FamilyInstance(inst.family, inst.params, inst.spec, triple)
+        inst.spec.build_tables()
+        tracemalloc.start()
+        try:
+            table = value_table(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.nbytes == 4 << 20
+        assert peak < (4 << 20) + (1 << 20), peak
+
+
 class TestEnumerateParams:
+    def test_equals_every_k_loop(self):
+        # F6 steps over odd k only; the lists are those of the loop that
+        # sent every k through the parameter predicate
+        for n_max in range(2, 65):
+            for family in FamilyId:
+                assert enumerate_params(family, n_max) == every_k_params(family, n_max), \
+                    (family, n_max)
+
     def test_f1_example(self):
         assert [(n, p.k) for n, p in enumerate_params("F1", 12)] == \
             [(3, 1), (9, 3), (12, 4)]
