@@ -37,6 +37,7 @@ from .inverter import InversionError, invert
 from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
 SEARCH_DEGREE_LIMIT = 10
+N_MAX_LIMIT = 64       # largest --n-max of gcd-suite and families
 SCREEN_TILE = 4096     # pair rows per screen step
 CONFIRM_BATCH = 4096   # survivors per confirm step
 CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
@@ -224,8 +225,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_gcd_suite(args) -> int:
-    if not 2 <= args.n_max <= 64:
-        raise ValueError("--n-max must be in [2, 64]")
     rows = []
     for family in FamilyId:
         for n, params in enumerate_params(family, args.n_max):
@@ -319,6 +318,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "n_max", None) is not None and not 2 <= args.n_max <= N_MAX_LIMIT:
+            raise ValueError(f"--n-max must be in [2, {N_MAX_LIMIT}]")
         return args.func(args)
     except (ConditionViolatedError, DegreeMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

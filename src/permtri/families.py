@@ -317,7 +317,7 @@ def check_gcd_identities(family: FamilyId | str,
     elif family is FamilyId.F6:
         m = params.m
         n = 4 * m
-        d = sum(1 << (i * k) for i in range(2 * m + 1))
+        d = exponents_of(family, params)[0]
         out.append(("gcd(d, 2^n-1) == 1", math.gcd(d, (1 << n) - 1) == 1))
         out.append(("gcd(2^k-1, 2^(4m)-1) == 1",
                     math.gcd((1 << k) - 1, (1 << n) - 1) == 1))

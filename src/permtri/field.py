@@ -11,8 +11,8 @@ Python ints and may be arbitrarily large).
 Three routes give the same values bit for bit:
 
 * log/antilog tables (n <= 20, ``build_tables``): two read-only numpy
-  arrays filled by GF(2)-linear doubling, indexed through memoryviews, so
-  ``mul``/``inv``/``pow``/``frobenius`` are O(1) lookups of Python ints;
+  arrays filled by doubling through byte-sliced tables, indexed through
+  memoryviews, so ``mul``/``inv``/``pow``/``frobenius`` are O(1) lookups;
 * byte-sliced tables, for every spec without log tables: a GF(2)-linear
   map kept as ceil(n/8) uint32 ``array`` tables (no numpy), one per byte
   of its argument.  Frobenius powers and squarings are ceil(n/8) lookups,
@@ -233,12 +233,7 @@ def smallest_irreducible(n: int) -> int:
     """Irreducible degree-n polynomial with the smallest integer encoding."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    if n == 1:
-        return 0b10
-    c = (1 << n) | 1  # constant term required: X never divides an irreducible of degree >= 2
-    while not is_irreducible(c):
-        c += 2
-    return c
+    return next(irreducibles(n))
 
 
 def irreducibles(n: int):
@@ -270,8 +265,8 @@ class FieldSpec:
     under a lock); ``mul_baseline`` is the reference for both.
     """
 
-    __slots__ = ("n", "modulus", "order", "_exp", "_log", "_exp_np",
-                 "_log_np", "_generator", "_cube_root", "_frob", "_red", "_lock")
+    __slots__ = ("n", "modulus", "order", "_exp", "_log", "_generator",
+                 "_cube_root", "_frob", "_red", "_lock")
 
     def __init__(self, n: int, modulus: int | None = None):
         if not MIN_DEGREE <= n <= MAX_DEGREE:
@@ -291,8 +286,6 @@ class FieldSpec:
         self.order = 1 << n
         self._exp = None
         self._log = None
-        self._exp_np = None
-        self._log_np = None
         self._generator = None
         self._cube_root = None
         # byte-sliced tables of x -> x^(2^j) by j, and of h -> h * X^n (h < 2^(n-1))
@@ -456,13 +449,13 @@ class FieldSpec:
         """Build log/antilog tables (n <= 20).  Idempotent and thread-safe.
 
         The antilog array is filled by doubling, exp[s:2s] = exp[:s] * g^s:
-        multiplying by a constant is GF(2)-linear, so each block is the XOR
-        of the constant's n basis images picked by the bits of exp[:s].  The
-        log array is the scatter log[exp[i]] = i; log[0] stays unused.  exp
-        is stored doubled, so a log-sum below 2(2^n - 1) indexes without a
-        modulo.  Both arrays are read-only: the scalar route indexes
-        memoryviews of them, whose items are Python ints, so log[a] * e
-        cannot wrap in uint32.
+        multiplying by a constant is GF(2)-linear, so each block is gathered
+        through the byte-sliced tables of the constant's basis images, one
+        lookup per byte of exp[:s] (see ``_byte_tables``).  The log array is
+        the scatter log[exp[i]] = i; log[0] stays unused.  exp is stored
+        doubled, so a log-sum below 2(2^n - 1) indexes without a modulo.
+        Both arrays are read-only: the scalar route indexes memoryviews of
+        them, whose items are Python ints, so log[a] * e cannot wrap in uint32.
         """
         import numpy as np      # here, not at the top: the other routes never need it
         if self._exp is not None:
@@ -472,8 +465,7 @@ class FieldSpec:
         with self._lock:
             if self._exp is not None:
                 return
-            g = self.generator()
-            m = self.order - 1
+            g, m = self.generator(), self.order - 1
             exp2 = np.zeros(2 * m, dtype=np.uint32)
             exp = exp2[:m]
             exp[0] = 1
@@ -481,8 +473,9 @@ class FieldSpec:
             while s < m:
                 src = exp[:min(s, m - s)]
                 block = exp[s:s + src.size]
-                for i in range(self.n):
-                    block ^= ((src >> i) & 1) * np.uint32(self.mul_baseline(1 << i, g_s))
+                tables = _byte_tables([self.mul_baseline(1 << i, g_s) for i in range(self.n)])
+                for p, t in enumerate(tables):
+                    block ^= np.frombuffer(t, np.uint32)[(src >> 8 * p) & 255]
                 s += src.size
                 g_s = self.mul_baseline(g_s, g_s)
             if (exp[1:] == 1).any():
@@ -493,7 +486,6 @@ class FieldSpec:
             log[exp] = np.arange(m, dtype=np.uint32)
             exp2[m:] = exp
             exp2.flags.writeable = log.flags.writeable = False
-            self._exp_np, self._log_np = exp2[:m], log
             self._log = memoryview(log)
             self._exp = memoryview(exp2)
 
@@ -517,10 +509,13 @@ class FieldSpec:
         return self._exp is not None
 
     def exp_log_arrays(self):
-        """(exp, log) read-only numpy uint32 arrays from ``build_tables``;
-        exp has length 2^n - 1 (index by log mod 2^n - 1)."""
+        """(exp, log) from ``build_tables``: read-only numpy uint32 views of
+        the buffers the scalar route indexes.  exp has length 2^n - 1 (index
+        by log mod 2^n - 1); its base is the doubled antilog buffer."""
+        import numpy as np
         self.build_tables()
-        return self._exp_np, self._log_np
+        return (np.frombuffer(self._exp, np.uint32)[:self.order - 1],
+                np.frombuffer(self._log, np.uint32))
 
 
 class FieldElement:

@@ -17,6 +17,18 @@ free bit set, in ascending order, so both are unique and reproducible.
 from .field import FieldElement, FieldSpec
 
 
+def _xor_selected(vectors, mask: int) -> int:
+    """XOR of the vectors[i] whose bit i is set in ``mask``."""
+    acc = 0
+    i = 0
+    while mask:
+        if mask & 1:
+            acc ^= vectors[i]
+        mask >>= 1
+        i += 1
+    return acc
+
+
 class LinearizedPoly:
     """x -> sum of c_j * x^(2^j) with at most one term per 2-power index j.
 
@@ -79,14 +91,7 @@ class BitMatrix:
         return self.spec == other.spec and self.cols == other.cols
 
     def apply_bits(self, x: int) -> int:
-        acc = 0
-        i = 0
-        while x:
-            if x & 1:
-                acc ^= self.cols[i]
-            x >>= 1
-            i += 1
-        return acc
+        return _xor_selected(self.cols, x)
 
     def apply(self, x: FieldElement) -> FieldElement:
         return FieldElement(self.spec, self.apply_bits(x.bits))
@@ -139,15 +144,7 @@ class AffineSolutionSet:
         base = self.particular.bits
         basis = [v.bits for v in self.kernel_basis]
         for mask in range(1 << len(basis)):
-            x = base
-            m = mask
-            i = 0
-            while m:
-                if m & 1:
-                    x ^= basis[i]
-                m >>= 1
-                i += 1
-            yield FieldElement(self.spec, x)
+            yield FieldElement(self.spec, base ^ _xor_selected(basis, mask))
 
     def __repr__(self):
         return (f"AffineSolutionSet(particular={self.particular}, "

@@ -373,6 +373,27 @@ def solve_based_f6_invert(inst, a: int):
     return chosen, trace
 
 
+def bit_plane_tables(spec):
+    """(exp, log) as ``FieldSpec.build_tables`` filled them before the byte
+    tables: exp[s:2s] = exp[:s] * g^s by n bit-plane passes, each adding
+    the image of X^i where bit i of exp[:s] is set; log[exp[i]] = i."""
+    import numpy as np
+    g, m = spec.generator(), spec.order - 1
+    exp = np.zeros(m, dtype=np.uint32)
+    exp[0] = 1
+    s, g_s = 1, g
+    while s < m:
+        src = exp[:min(s, m - s)]
+        block = exp[s:s + src.size]
+        for i in range(spec.n):
+            block ^= ((src >> i) & 1) * np.uint32(spec.mul_baseline(1 << i, g_s))
+        s += src.size
+        g_s = spec.mul_baseline(g_s, g_s)
+    log = np.zeros(spec.order, dtype=np.uint32)
+    log[exp] = np.arange(m, dtype=np.uint32)
+    return exp, log
+
+
 def remainder_value_table(inst):
     """``families.value_table`` as its log-table route was before the
     chunked kernel: x^e = exp[(e * log x) mod 2^n - 1] over the whole field

@@ -325,6 +325,24 @@ class TestSearchPool:
             within(60, lambda: main(["search", "--n", "8"]))
         assert threading.active_count() == baseline
 
+    @pytest.mark.parametrize("cpus,pooled", [(2, True), (None, False)])
+    def test_worker_count_without_affinity(self, monkeypatch, cpus, pooled):
+        # without sched_getaffinity the pool is sized by os.cpu_count(), and
+        # an unknown count (None) means one worker, so no pool
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        baseline = threading.active_count()
+
+        def first_block():
+            blocks = cli._search_blocks(default_spec(8), 64, 1)
+            e1, _, _ = next(blocks)
+            running = threading.active_count() > baseline + 1   # + 1: this helper
+            blocks.close()
+            return e1, running
+
+        assert within(60, first_block) == (3, pooled)
+        assert threading.active_count() == baseline
+
     def test_workers_stay_off_the_library(self, capsys, monkeypatch):
         force_pool(monkeypatch)
         seen = []
@@ -375,6 +393,11 @@ class TestGcdSuite:
         rc, _, _ = run(capsys, "gcd-suite", "--n-max", "65")
         assert rc == 2
 
+    def test_n_max_range_message(self, capsys):
+        for n_max in ("1", "65"):
+            rc, out, err = run(capsys, "gcd-suite", "--n-max", n_max)
+            assert (rc, out, err) == (2, "", "error: --n-max must be in [2, 64]\n")
+
 
 class TestFamiliesCmd:
     def test_lists_all_six(self, capsys):
@@ -400,6 +423,19 @@ class TestFamiliesCmd:
             "    n=8: k=3, m=2", "    n=8: k=5, m=2", "    n=8: k=7, m=2"]
         assert lines[:2] == ["F1: x^(2^2k+2^k-1) + x^(2^2k) + x   "
                              "[n = 3k, k >= 1, k != 2 (mod 3)]", "    n=3: k=1"]
+
+    @pytest.mark.parametrize("n_max", ["0", "1", "65"])
+    def test_n_max_out_of_range_exit2(self, capsys, n_max):
+        # --n-max has gcd-suite's range: unbounded, a large value filled memory
+        for mode in ((), ("--json",)):
+            rc, out, err = run(capsys, "families", "--n-max", n_max, *mode)
+            assert (rc, out, err) == (2, "", "error: --n-max must be in [2, 64]\n")
+
+    def test_n_max_64_output_pinned(self, capsys):
+        rc, out, _ = run(capsys, "families", "--n-max", "64", "--json")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "68f7037bc5ea6002c612336b597ae3619ac212d6faefec54bd8c81ad975d905e"
 
 
 class TestConsoleScript:

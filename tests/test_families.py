@@ -81,6 +81,14 @@ class TestInstantiate:
         excluded = instantiate("F1", k=2, enforce_hypotheses=False)
         assert excluded.n == 6
 
+    def test_parameter_forms(self):
+        with pytest.raises(ConditionViolatedError, match="requires parameter k"):
+            instantiate("F1")
+        with pytest.raises(TypeError, match="not both"):
+            instantiate("F1", FamilyParams(k=1), k=1)
+        with pytest.raises(TypeError, match="not both"):
+            instantiate("F6", FamilyParams(k=1, m=1), m=1)
+
     def test_exponent_formulas_all_families(self):
         assert exponents_of(FamilyId.F2, FamilyParams(k=3)) == (71, 57, 1)
         assert exponents_of(FamilyId.F3, FamilyParams(k=1)) == (13, 5, 1)
@@ -98,6 +106,11 @@ class TestInstantiate:
 
 
 class TestEvaluate:
+    def test_element_of_another_spec_rejected(self):
+        inst = instantiate("F1", k=1)
+        with pytest.raises(ValueError, match="different FieldSpec"):
+            evaluate(inst, default_spec(4).element(1))
+
     def test_zero_anchor_everywhere(self):
         for inst in enumerate_instances(20):
             assert evaluate(inst, inst.spec.zero).bits == 0
@@ -235,6 +248,8 @@ class TestEnumerateParams:
                 inst = instantiate(family, params)
                 assert inst.n == n
         assert enumerate_params("F1", 2) == []
+        with pytest.raises(ValueError, match="n_max must be >= 2"):
+            enumerate_params("F1", 1)
 
     def test_no_family_admits_n6(self):
         for family in FamilyId:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +30,7 @@ from permtri.field import (
     smallest_irreducible,
 )
 from oracles import (
+    bit_plane_tables,
     exhaustive_inverse,
     naive_pow,
     repeated_squaring_frobenius,
@@ -324,6 +326,10 @@ class TestFrobenius:
         assert a.frobenius(3) == a        # j = n fixes everything
         assert F8.element(0b010).frobenius(2).bits == 0b110  # x^4 = x^2 + x
 
+    def test_negative_iterate_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            F8.frobenius(3, -1)
+
     @pytest.mark.parametrize("n", range(2, 11))
     def test_additive_exhaustive(self, n):
         spec = default_spec(n)
@@ -409,6 +415,13 @@ class TestIrreducibility:
         gen = irreducibles(8)
         assert next(gen) == 0x11B
         assert 0x11D in list(irreducibles(8))
+
+    def test_degenerate_degrees(self):
+        with pytest.raises(ValueError, match=">= 1"):
+            smallest_irreducible(0)
+        assert smallest_irreducible(1) == 0b10      # X, the one irreducible of degree 1
+        for poly in (-0b1011, -1, 0, 1):            # negative, or constant: degree < 1
+            assert not is_irreducible(poly)
 
 
 class TestCubeRootOfUnity:
@@ -498,6 +511,29 @@ class TestSpecAndElements:
         assert str(e) == "0x5" and e.bits == 5
         assert F8.from_hex("7").bits == 7
 
+    def test_element_operators(self):
+        a, b = F8.element(0b110), F8.element(0b011)
+        assert F8.add(0b110, 0b011) == 0b101
+        assert (a / b) * b == a
+        assert a / F8.one == a
+        with pytest.raises(ZeroInverseError):
+            a / F8.zero
+        with pytest.raises(TypeError, match="expected FieldElement, got int"):
+            a + 3
+        assert (a == 6) is False and (a != 6) is True       # foreign type: not equal
+        assert (F8 == 3) is False
+        assert bool(a) and not bool(F8.zero)
+        assert F8.zero.is_zero and not a.is_zero
+        assert repr(a) == "FieldElement(0x6, n=3)"
+        assert repr(F8) == "FieldSpec(n=3, modulus=0xb)"
+
+    def test_build_tables_above_limit_rejected(self):
+        spec = FieldSpec(TABLE_DEGREE_LIMIT + 1)
+        with pytest.raises(ValueError, match=f"limited to n <= {TABLE_DEGREE_LIMIT}"):
+            spec.build_tables()
+        assert not spec.tables_built
+        assert spec.mul(3, 3) == spec.mul_baseline(3, 3)    # the byte-sliced route still works
+
     def test_equality_and_hash(self):
         assert FieldSpec(3) == default_spec(3)
         assert F8.element(3) == FieldSpec(3).element(3)
@@ -545,6 +581,20 @@ class TestSpecAndElements:
             assert log_np[1:].tolist() == spec._log[1:].tolist()
             assert [spec._log[v] for v in powers] == list(range(m))
 
+    @pytest.mark.parametrize("n", range(2, TABLE_DEGREE_LIMIT + 1))
+    def test_tables_match_bit_plane_oracle(self, n):
+        for modulus in itertools.islice(irreducibles(n), 2):
+            spec = FieldSpec(n, modulus)
+            exp_np, log_np = spec.exp_log_arrays()
+            want_exp, want_log = bit_plane_tables(spec)
+            for got, want in ((exp_np, want_exp), (log_np, want_log)):
+                assert got.dtype == np.uint32 and not got.flags.writeable
+                assert np.array_equal(got, want)
+            assert exp_np.size == spec.order - 1 and log_np.size == spec.order
+            # value_table indexes the doubled buffer behind the exp view
+            assert exp_np.base.size == 2 * exp_np.size
+            assert np.array_equal(exp_np.base[exp_np.size:], want_exp)
+
     def test_tables_read_only(self):
         # the scalar route indexes the same buffers the arrays expose
         spec = FieldSpec(6)
@@ -562,7 +612,7 @@ class TestSpecAndElements:
         with pytest.raises(FieldError, match="does not generate"):
             spec.build_tables()
         assert not spec.tables_built
-        assert spec._exp_np is None and spec._log_np is None
+        assert spec._exp is None and spec._log is None
 
 
 def test_no_assert_statements_in_library():

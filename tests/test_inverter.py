@@ -9,6 +9,7 @@ from permtri.families import (
     FamilyParams,
     enumerate_instances,
     evaluate,
+    exponents_of,
     instantiate,
     value_table,
 )
@@ -255,6 +256,26 @@ class TestBranchCensus:
             spec = instantiate("F1", k=k, enforce_hypotheses=False).spec
             dim = len(_f1_reduction(spec.n, spec.modulus, k).kernel_bits)
             assert dim == (2 if k % 3 == 2 else 0), k
+
+    def test_quartic_filter_rejects_l1_solutions(self):
+        # on F1 k = 2 itself (n = 6, any of its nine moduli) no a reaches the
+        # rejection: L1's solutions all pass the quartic or there are none.
+        # F1's k = 2 algebra on F_2^9 (n != 3k, a doctored instance) reaches
+        # it: L1 has a 2-dimensional kernel, and at a = 0xc all four of its
+        # solutions fail the quartic v^4 + v^2 + v = rhs2
+        spec, k, a = default_spec(9), 2, 0xC
+        params = FamilyParams(k=k)
+        bad = FamilyInstance(FamilyId.F1, params, spec, exponents_of(FamilyId.F1, params))
+        reduction = _f1_reduction(spec.n, spec.modulus, k)
+        assert len(reduction.kernel_bits) == 2
+        b = spec.frobenius(a, k)
+        c = spec.frobenius(b, k)
+        eps = a ^ b ^ c
+        rhs = spec.div(spec.frobenius(a, 1), spec.frobenius(eps, 1))
+        assert len(reduction.solve(spec.element(rhs))) == 4
+        assert inverter._invert_f1(bad, a, b, c) == []
+        with pytest.raises(NoValidCandidateError):
+            invert(bad, spec.element(a))
 
 
 class TestF6SpuriousRoot:

@@ -54,6 +54,43 @@ class TestLinearizedPoly:
         L = random_linpoly(spec, random.Random(seed))
         assert L.eval_bits(a ^ b) == L.eval_bits(a) ^ L.eval_bits(b)
 
+    def test_out_of_range_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="out of range"):
+            LinearizedPoly(F8, [(0, 8)])
+        with pytest.raises(ValueError, match="out of range"):
+            LinearizedPoly(F8, [(0, -1)])
+
+    def test_element_of_another_spec_rejected(self):
+        L = LinearizedPoly(F8, [(1, 1)])
+        with pytest.raises(ValueError, match="different FieldSpec"):
+            L(default_spec(4).element(1))
+
+    def test_repr(self):
+        assert repr(LinearizedPoly(F8, [(1, 3), (0, 1)])) == \
+            "LinearizedPoly(0x1*x^(2^0) + 0x3*x^(2^1), n=3)"
+        assert repr(LinearizedPoly(F8, [])) == "LinearizedPoly(0, n=3)"
+
+
+class TestBitMatrix:
+    def test_shape_and_range_checked(self):
+        with pytest.raises(ValueError, match="expected 3 columns, got 2"):
+            BitMatrix(F8, [1, 2])
+        with pytest.raises(ValueError, match="column out of range"):
+            BitMatrix(F8, [1, 2, 8])
+
+    def test_equality_and_repr(self):
+        M = BitMatrix(F8, [1, 2, 4])
+        assert M == matrix_of(LinearizedPoly(F8, [(0, 1)]))
+        assert M != BitMatrix(F8, [1, 2, 5])
+        assert M != BitMatrix(FieldSpec(3, 0b1101), [1, 2, 4])   # same columns, other modulus
+        assert (M == [1, 2, 4]) is False                        # foreign type
+        assert repr(M) == "BitMatrix(n=3, cols=['0x1', '0x2', '0x4'])"
+
+    def test_apply_is_the_xor_of_selected_columns(self):
+        M = BitMatrix(F8, [0b011, 0b110, 0b101])
+        assert [M.apply(x).bits for x in F8.elements()] == \
+            [0, 0b011, 0b110, 0b101, 0b101, 0b110, 0b011, 0]
+
 
 class TestMatrixOf:
     def test_identity(self):
@@ -235,3 +272,9 @@ class TestAffineSolutionSet:
         s = AffineSolutionSet(F8, F8.element(0b001),
                               [F8.element(0b010), F8.element(0b100)])
         assert [e.bits for e in s] == [0b001, 0b011, 0b101, 0b111]
+
+    def test_repr(self):
+        s = AffineSolutionSet(F8, F8.element(0b001), [F8.element(0b010)])
+        assert repr(s) == "AffineSolutionSet(particular=0x1, kernel_dim=1)"
+        assert repr(AffineSolutionSet(F8, None, [])) == \
+            "AffineSolutionSet(particular=None, kernel_dim=0)"
