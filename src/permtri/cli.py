@@ -2,17 +2,19 @@
 
 Exit codes: 0 success (for ``verify``: the map permutes), 1 checked but not
 a permutation, 2 parameter or hypothesis errors (also ``search --force``
-above the log-table limit), 3 budget guard tripped (override with
---force), 4 inversion produced no valid candidate.
+above the log-table limit, and a ``search --out`` path that cannot be
+written), 3 budget guard tripped (override with --force), 4 inversion
+produced no valid candidate.
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
 order and the search CSV is byte-identical for a fixed seed.  ``verify``
-runs on one thread; ``search`` decides its e1 blocks on one worker thread
-per CPU in the process's affinity set, and its output is the same on any
+runs on one thread; ``search`` screens its tiles on one worker thread per
+CPU in the process's affinity set, and its output is the same on any
 number of CPUs.  The ``--threads`` flag of both is accepted and ignored.
-``search`` screens a pair table of sampled powers per e1 in fixed tiles,
-confirms the survivors in batches and writes each e1 block's rows, in
-ascending e1, as soon as the block and every earlier one are decided.
+``search`` screens and confirms one triple per Frobenius orbit, since the
+doubled triple's trinomial is the square of the triple's, records each
+verdict for the whole orbit in a one-bit-per-triple map in CSV order, and
+writes the rows in ascending e1 once every orbit is decided.
 """
 
 import argparse
@@ -43,8 +45,8 @@ CONFIRM_BATCH = 4096   # survivors per confirm step
 CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
-THREADS_HELP = ("accepted and ignored: verify runs on one thread, search on every CPU "
-                "in the affinity set, with the same output either way")
+THREADS_HELP = ("accepted and ignored: verify runs on one thread, search screens on "
+                "every CPU in the affinity set, with the same output either way")
 
 
 def _parse_modulus(text: str) -> FieldSpec:
@@ -104,57 +106,133 @@ def _distinct_rows(vals):
     return ~same.any(axis=1)
 
 
-def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
-    """Screen every triple e1 > e2 > e3 >= 1 on seeded sample points and fully check the
-    survivors.  Set-up runs now; the iterator yields (e1, rows, is_perm) per e1 in
-    ascending order, where rows index the pairs (e2, e3) in ascending (e2, e3) order."""
+def _orbit_units(n: int, tile: int):
+    """Tiles of one representative per Frobenius orbit of triples e1 > e2 > e3 >= 1.
+
+    The representative is the member whose ascending tuple is least, so its least
+    exponent L is a coset leader and the other two lie in cosets led by L or more.
+    Yields (L, cand, a, b, free): the representatives are (L, cand[j], cand[i]) for
+    the pairs (j, i) of rows a <= r < b of np.tril_indices(len(cand), -1), those from
+    row free on only where _canonical keeps them.  Those rows pair with L's own coset,
+    and a leader whose coset has fewer than n members has free = 0.
+    """
     import numpy as np
-    mult = spec.order - 1
+    mult = (1 << n) - 1
+    # lead[e] = min(e * 2^j mod 2^n - 1), the leader of e's cyclotomic coset
+    e = np.arange(mult)
+    lead = e.copy()
+    for _ in range(n - 1):
+        e = e * 2 % mult
+        np.minimum(lead, e, out=lead)
+    for L in np.flatnonzero(lead == np.arange(mult))[1:].tolist():
+        coset = np.flatnonzero(lead == L)
+        higher = np.flatnonzero(lead > L)
+        cand = np.concatenate([higher, coset[1:]])
+        free = higher.size * (higher.size - 1) // 2 if coset.size == n else 0
+        total = cand.size * (cand.size - 1) // 2
+        for a in range(0, total, tile):
+            yield L, cand, a, min(a + tile, total), free
+
+
+def _canonical(L: int, x, y, n: int):
+    """True where (L, x, y) is the least ascending tuple of its Frobenius orbit,
+    given that every exponent in the orbit is at least L."""
+    import numpy as np
+    mult = (1 << n) - 1
+    lo, hi = np.minimum(x, y), np.maximum(x, y)
+    # row j - 1 of each is the triple times 2^j, for j = 1 .. n - 1
+    doubled = np.array([pow(2, j, mult) for j in range(1, n)], np.int64)[:, None]
+    a, b, c = L * doubled % mult, lo * doubled % mult, hi * doubled % mult
+    first = np.minimum(np.minimum(b, c), a)
+    last = np.maximum(np.maximum(b, c), a)
+    mid = a + b + c - first - last
+    return ((first > L) | (mid > lo) | ((mid == lo) & (last >= hi))).all(axis=0)
+
+
+def _screen(spec: FieldSpec, sample_count: int, seed: int):
+    """Screen one representative per Frobenius orbit of triples e1 > e2 > e3 >= 1 on
+    seeded sample points and fully check the survivors.  Set-up runs now; the iterator
+    yields (triples, is_perm) per tile of representatives, where triples holds the
+    surviving representatives' exponents, one row each, in no order within a row.
+
+    f_{2e} = (f_e)^2 and squaring is injective, so a whole orbit shares the sample
+    screen's outcome and the verdict."""
+    import numpy as np
+    n, mult = spec.n, spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
     # pow[e-1, x] = x^e for e in [1, 2^n - 2] and every x (0^e = 0); at least
     # 16 bits wide, since numpy sorts uint16 rows far faster than uint8 rows
-    pow_ = np.zeros((mult - 1, spec.order), np.uint16 if spec.n <= 16 else np.uint32)
+    pow_ = np.zeros((mult - 1, spec.order), np.uint16 if n <= 16 else np.uint32)
     pow_[:, 1:] = exp_np[np.outer(np.arange(1, mult), log_np[1:]) % mult]
     cols = np.ascontiguousarray(pow_[:, sample_points(spec, sample_count, seed)])
-    # pair[r] = x^e2 + x^e3 over e2 > e3 >= 1 in ascending (e2, e3) order,
-    # so the e1 block is its prefix of the rows with e2 < e1
+    # the pairs of the largest candidate list, leader 1's; every other leader's
+    # pairs are a prefix
     i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
-    pair = cols[i2] ^ cols[i3]
     tile = SCREEN_TILE
     local = threading.local()
 
-    # worker threads run block() and call numpy only: nothing here touches a
+    def units():
+        last = None
+        for L, cand, a, b, free in _orbit_units(n, tile):
+            if cand is not last:
+                last, cand_cols = cand, cols[cand - 1]
+                with_leader = cand_cols ^ cols[L - 1]
+            yield L, cand, cand_cols, with_leader, a, b, free
+
+    # worker threads run unit() and call numpy only: nothing here touches a
     # FieldSpec or any other library function
-    def block(e1):
+    def unit(args):
+        L, cand, cand_cols, with_leader, a, b, free = args
         work = getattr(local, "work", None)
         if work is None:
             work = local.work = np.empty((tile, cols.shape[1]), cols.dtype)
-        size = (e1 - 1) * (e1 - 2) // 2
-        keep = np.empty(size, dtype=bool)
-        for s in range(0, size, tile):
-            t = min(tile, size - s)
-            keep[s:s + t] = _distinct_rows(
-                np.bitwise_xor(pair[s:s + t], cols[e1 - 1], out=work[:t]))
-        rows = np.flatnonzero(keep)
+        vals = work[:b - a]
+        j, i = i2[a:b], i3[a:b]
+        # row r is pair (j, i) = (i2[r], i3[r]); the rows of one j XOR j's
+        # row, leader included, with a contiguous run of cand's sampled rows
+        first, last = int(j[0]), int(j[-1])
+        if b - a < 64 * (last - first + 1):
+            # runs shorter than about 64 rows: one gather costs less than a call per run
+            np.take(with_leader, j, axis=0, out=vals)
+            vals ^= cand_cols[i]
+        else:
+            k = 0
+            for run in range(first, last + 1):
+                lo = int(i[0]) if run == first else 0
+                hi = int(i[-1]) + 1 if run == last else run
+                np.bitwise_xor(cand_cols[lo:hi], with_leader[run], out=vals[k:k + hi - lo])
+                k += hi - lo
+        if b > free:
+            keep = np.ones(b - a, dtype=bool)
+            f = max(free - a, 0)
+            keep[f:] = _canonical(L, cand[j[f:]], cand[i[f:]], n)
+            keep = np.flatnonzero(keep)
+            vals, j, i = vals[keep], j[keep], i[keep]
+        keep = _distinct_rows(vals)
+        tri = np.empty((int(keep.sum()), 3), np.int64)
+        tri[:, 0], tri[:, 1], tri[:, 2] = cand[j[keep]], cand[i[keep]], L
         # full check: f permutes iff its values over the whole field are
         # distinct; most survivors already collide on the first points
-        is_perm = np.zeros(rows.size, dtype=bool)
-        for s in range(0, rows.size, CONFIRM_BATCH):
-            tri = rows[s:s + CONFIRM_BATCH]
+        is_perm = np.zeros(tri.shape[0], dtype=bool)
+        for s in range(0, tri.shape[0], CONFIRM_BATCH):
+            rows = np.arange(s, min(s + CONFIRM_BATCH, tri.shape[0]))
             for table in (pow_[:, :CONFIRM_HEAD], pow_):
-                tri = tri[_distinct_rows(table[i2[tri]] ^ table[i3[tri]] ^ table[e1 - 1])]
-            is_perm[np.searchsorted(rows, tri)] = True
-        return e1, rows, is_perm
+                e = tri[rows] - 1
+                vals = table[e[:, 0]]
+                vals ^= table[e[:, 1]]
+                vals ^= table[e[:, 2]]
+                rows = rows[_distinct_rows(vals)]
+            is_perm[rows] = True
+        return tri, is_perm
 
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
     largest = (mult - 2) * (mult - 3) // 2
 
-    def blocks():
+    def screened():
         if workers == 1 or largest <= tile:
-            # a pool costs more than it saves when no block spans two tiles
-            for e1 in range(3, mult):
-                yield block(e1)
+            # a pool costs more than it saves when every leader fits in one tile
+            yield from map(unit, units())
             return
         # imported here: only a multi-CPU search needs the pool, and loading it
         # costs every other command about 0.6 MB of resident memory
@@ -162,14 +240,71 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
         pool = ThreadPoolExecutor(workers)
         try:
             pending = deque()
-            for e1 in range(3, mult):
-                pending.append(pool.submit(block, e1))
+            for args in units():
+                pending.append(pool.submit(unit, args))
                 if len(pending) >= 2 * workers:
                     yield pending.popleft().result()
             while pending:
                 yield pending.popleft().result()
         finally:
             pool.shutdown(cancel_futures=True)
+    return screened()
+
+
+def _bit_run(bits, start: int, size: int):
+    # bits start .. start + size - 1 of a little-endian bit map, as bools
+    import numpy as np
+    first = start >> 3
+    raw = np.unpackbits(bits[first:(start + size + 7) >> 3], bitorder="little")
+    return raw[start - 8 * first:][:size].view(bool)
+
+
+def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
+    """Screen and check every triple e1 > e2 > e3 >= 1 through one representative per
+    Frobenius orbit.  Set-up runs now; the iterator decides every orbit, then yields
+    (e1, rows, is_perm) per e1 in ascending order, where rows index the pairs (e2, e3)
+    in ascending (e2, e3) order."""
+    import numpy as np
+    mult = spec.order - 1
+    screened = _screen(spec, sample_count, seed)
+    # a triple's bit is its colex rank C(e1 - 1, 3) + C(e2 - 1, 2) + e3 - 1, so each
+    # e1 block is the run of C(e1 - 1, 2) bits from C(e1 - 1, 3), in the CSV's order
+    e = np.arange(mult, dtype=np.int64)
+    c3, c2 = (e - 1) * (e - 2) * (e - 3) // 6, (e - 1) * (e - 2) // 2
+
+    def blocks():
+        nbytes = (int(c3[-1] + c2[-1]) + 7) // 8
+        found, perms = np.zeros(nbytes, np.uint8), np.zeros(nbytes, np.uint8)
+        held, count = [], 0
+
+        def mark():
+            # sets the bit of every member of the orbits of the held triples
+            tri, is_perm = (np.concatenate(part) for part in zip(*held))
+            for bits, rows in ((found, tri), (perms, tri[is_perm])):
+                a, b, c = rows.T
+                for _ in range(spec.n):
+                    e1, e3 = np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
+                    rank = c3[e1] + c2[a + b + c - e1 - e3] + e3 - 1
+                    np.bitwise_or.at(bits, rank >> 3,
+                                     np.left_shift(1, rank & 7).astype(np.uint8))
+                    a, b, c = a * 2 % mult, b * 2 % mult, c * 2 % mult
+            held.clear()
+
+        # tiles are marked in groups of about SCREEN_TILE triples: few calls
+        # when few survive, and about one tile's memory when all do
+        with closing(screened):
+            for tri, is_perm in screened:
+                held.append((tri, is_perm))
+                count += len(tri)
+                if count >= SCREEN_TILE:
+                    mark()
+                    count = 0
+        if held:
+            mark()
+        for e1 in range(3, mult):
+            start, size = int(c3[e1]), int(c2[e1])
+            rows = np.flatnonzero(_bit_run(found, start, size))
+            yield e1, rows, _bit_run(perms, start, size)[rows]
     return blocks()
 
 
@@ -197,10 +332,12 @@ def _cmd_search(args) -> int:
     import numpy as np
     if args.n < 2:
         raise ValueError("--n must be >= 2")
+    if args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     if args.n > SEARCH_DEGREE_LIMIT and not args.force:
         raise BudgetExceededError(
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
-            f"(n = {SEARCH_DEGREE_LIMIT} takes about 20 s on two cores and each further "
+            f"(n = {SEARCH_DEGREE_LIMIT} takes about 9 s on two cores and each further "
             f"degree at least 8 times as long; rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
@@ -208,19 +345,19 @@ def _cmd_search(args) -> int:
     tagged = {}
     for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
         tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
-    # set-up first: it refuses n > 20 before the pair texts below could fill memory
-    blocks = _search_blocks(spec, args.samples, args.seed)
-    # "e2,e3," of every pair row, in the screen's ascending (e2, e3) order
-    nums = [f"{e}," for e in range(1, spec.order - 2)]
-    pair_text = np.array([a + b for i, a in enumerate(nums[1:], 1) for b in nums[:i]],
-                         dtype=object)
-    with closing(blocks), \
-            open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
-        stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
-                     f"seed={args.seed} samples={args.samples}\n"
-                     "e1,e2,e3,is_permutation,family,k,m\n")
-        for e1, rows, is_perm in blocks:
-            stream.write(_block_text(e1, rows, is_perm, pair_text, tagged.get(e1, ())))
+    spec.build_tables()   # refuses n > 20 before the output file is opened
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
+        blocks = _search_blocks(spec, args.samples, args.seed)
+        # "e2,e3," of every pair row, in ascending (e2, e3) order
+        nums = [f"{e}," for e in range(1, spec.order - 2)]
+        pair_text = np.array([a + b for i, a in enumerate(nums[1:], 1) for b in nums[:i]],
+                             dtype=object)
+        with closing(blocks):
+            stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
+                         f"seed={args.seed} samples={args.samples}\n"
+                         "e1,e2,e3,is_permutation,family,k,m\n")
+            for e1, rows, is_perm in blocks:
+                stream.write(_block_text(e1, rows, is_perm, pair_text, tagged.get(e1, ())))
     return 0
 
 
@@ -321,7 +458,7 @@ def main(argv=None) -> int:
         if getattr(args, "n_max", None) is not None and not 2 <= args.n_max <= N_MAX_LIMIT:
             raise ValueError(f"--n-max must be in [2, {N_MAX_LIMIT}]")
         return args.func(args)
-    except (ConditionViolatedError, DegreeMismatchError, ValueError) as exc:
+    except (ConditionViolatedError, DegreeMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

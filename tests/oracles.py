@@ -286,6 +286,67 @@ def naive_search_csv(spec, samples: int, seed: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def e1_block_search_csv(spec, samples: int, seed: int) -> str:
+    """The ``permtri search`` CSV by the former e1-block screen, on one thread.
+
+    The sampled columns of the power table are XORed pairwise over all
+    e2 > e3 in ascending order, so an e1 block is a prefix of that pair
+    table.  A row of the block, XORed with e1's row, survives when it has no
+    repeat on the sample, and each survivor is confirmed on 128 points, then
+    on the whole field.  Rows are tested by ``cli._distinct_rows`` and
+    written by ``cli._block_text``, as before."""
+    import numpy as np
+    from permtri import cli
+    from permtri.permcheck import sample_points
+
+    mult = spec.order - 1
+    exp_np, log_np = spec.exp_log_arrays()
+    pow_ = np.zeros((mult - 1, spec.order), np.uint16 if spec.n <= 16 else np.uint32)
+    pow_[:, 1:] = exp_np[np.outer(np.arange(1, mult), log_np[1:]) % mult]
+    cols = pow_[:, sample_points(spec, samples, seed)]
+    i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
+    pair = cols[i2] ^ cols[i3]
+    pair_text = np.array([f"{e2 + 1},{e3 + 1}," for e2, e3 in zip(i2, i3)], dtype=object)
+    tagged = {}
+    for (e1, e2, e3), tag in cli._family_tags(spec.n, spec).items():
+        tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
+    text = [f"# permtri search n={spec.n} modulus=0x{spec.modulus:x} "
+            f"seed={seed} samples={samples}\n"
+            "e1,e2,e3,is_permutation,family,k,m\n"]
+    for e1 in range(3, mult):
+        size = (e1 - 1) * (e1 - 2) // 2
+        rows = np.flatnonzero(cli._distinct_rows(pair[:size] ^ cols[e1 - 1]))
+        perms = rows
+        for table in (pow_[:, :128], pow_):
+            perms = perms[cli._distinct_rows(table[i2[perms]] ^ table[i3[perms]]
+                                             ^ table[e1 - 1])]
+        text.append(cli._block_text(e1, rows, np.isin(rows, perms), pair_text,
+                                    tagged.get(e1, ())))
+    return "".join(text)
+
+
+def frobenius_orbit_representatives(n: int) -> set:
+    """The least ascending tuple (e3, e2, e1) of every orbit of the triples
+    2^n - 1 > e1 > e2 > e3 >= 1 under doubling mod 2^n - 1, by walking each
+    orbit from its first unseen member."""
+    import itertools
+
+    mult = (1 << n) - 1
+    seen, reps = set(), set()
+    for triple in itertools.combinations(range(1, mult), 3):
+        if triple in seen:
+            continue
+        orbit = [triple]
+        while True:
+            doubled = tuple(sorted(2 * e % mult for e in orbit[-1]))
+            if doubled == triple:
+                break
+            orbit.append(doubled)
+        seen.update(orbit)
+        reps.add(min(orbit))
+    return reps
+
+
 def runs_only_chain(e: int, n: int) -> tuple:
     """The Frobenius-chain program for x^e that ``field._frobenius_chain``
     emitted before it knew stride programs: one Itoh-Tsujii chain over the

@@ -1,18 +1,23 @@
+import functools
 import hashlib
+import itertools
 import json
 import resource
 import subprocess
 import sys
 import threading
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from permtri import cli, permcheck
 from permtri.cli import main
 from permtri.families import instantiate, value_table
-from permtri.field import FieldSpec, default_spec
-from permtri.permcheck import check
-from oracles import naive_search_csv, naive_verdict
+from permtri.field import FieldSpec, default_spec, irreducibles
+from permtri.permcheck import check, sample_points
+from oracles import (_naive_powers, e1_block_search_csv, frobenius_orbit_representatives,
+                     naive_search_csv, naive_verdict)
 
 
 def run(capsys, *args):
@@ -237,8 +242,8 @@ class TestSearch:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, batch, tile):
         # "small" makes the confirm's head stage pass non-permutations on to
-        # the whole-field stage and splits each block into many batches;
-        # "tiled" screens each block in many tiles on a pool of two workers
+        # the whole-field stage and splits each tile into many batches;
+        # "tiled" screens each leader in many tiles on a pool of two workers
         if head is not None:
             monkeypatch.setattr(cli, "CONFIRM_HEAD", head)
             monkeypatch.setattr(cli, "CONFIRM_BATCH", batch)
@@ -253,6 +258,64 @@ class TestSearch:
                 assert rc == 0
                 assert out == naive_search_csv(default_spec(n), samples, seed)
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pool"])
+    @pytest.mark.parametrize("choice", [0, 1], ids=["default", "second"])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_csv_matches_e1_block_oracle(self, capsys, monkeypatch, n, choice, pooled):
+        # the former screen decided every triple of each e1 block on its own;
+        # "pool" also cuts the representatives into 500-row tiles
+        modulus = list(itertools.islice(irreducibles(n), 2))[choice]
+        if pooled:
+            force_pool(monkeypatch)
+            monkeypatch.setattr(cli, "SCREEN_TILE", 500)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        for seed in (0, 1, 7):
+            for samples in (1, 3, 64, 1 << n):
+                rc, out, _ = run(capsys, "search", "--n", str(n), "--modulus", hex(modulus),
+                                 "--seed", str(seed), "--samples", str(samples))
+                assert rc == 0
+                assert digest(out) == e1_block_digest(n, modulus, samples, seed), \
+                    (seed, samples)
+
+    def test_unwritable_out_exits_2_before_the_search(self, capsys, monkeypatch, tmp_path):
+        def no_search(*args):
+            raise AssertionError("the search was set up")
+
+        monkeypatch.setattr(cli, "_search_blocks", no_search)
+        path = tmp_path / "missing" / "x.csv"
+        rc, out, err = run(capsys, "search", "--n", "5", "--out", str(path))
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and str(path) in err and "\n" == err[-1]
+
+    def test_bad_samples_exit2_without_creating_out(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        rc, out, err = run(capsys, "search", "--n", "5", "--samples", "0", "--out", str(path))
+        assert (rc, out, err) == (2, "", "error: --samples must be >= 1\n")
+        assert not path.exists()
+
+    def test_survivor_store_memory(self, monkeypatch, tmp_path):
+        # with one sample every triple survives the screen; its verdicts are
+        # kept one bit per triple, so the peak may exceed the 64-sample run's
+        # by that map and one confirm step's head values, not by a store of
+        # C(254, 3) survivors.  One CPU: the peak does not depend on timing.
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        default_spec(8).build_tables()
+        peaks = {}
+        for samples in (64, 1):
+            tracemalloc.start()
+            try:
+                assert main(["search", "--n", "8", "--samples", str(samples),
+                             "--out", str(tmp_path / f"s{samples}.csv")]) == 0
+                peaks[samples] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        lines = (tmp_path / "s1.csv").read_text().count("\n")
+        assert lines == 2 + 254 * 253 * 252 // 6
+        bit_map = 254 * 253 * 252 // 6 // 8
+        head = 2 * cli.CONFIRM_BATCH * cli.CONFIRM_HEAD * 2   # two uint16 blocks
+        assert peaks[1] <= peaks[64] + bit_map + head, peaks
+
     @pytest.mark.parametrize("seed,digest", [
         (0, "caf8093cdb2cf0435782ebc0feb8e4d1f5acdcb17beda78c91ed4b5203502f93"),
         (1, "2a93b4bea6ab1827801218acf27052e5c01c3a58758c4e9566474b260b5ae529"),
@@ -263,6 +326,80 @@ class TestSearch:
         rc, out, _ = run(capsys, "search", "--n", "9", "--seed", str(seed))
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def e1_block_digest(n, modulus, samples, seed):
+    return digest(e1_block_search_csv(FieldSpec(n, modulus), samples, seed))
+
+
+def representatives(n, tile=cli.SCREEN_TILE):
+    """(L, x, y) arrays of the representatives of each unit _orbit_units yields."""
+    pairs = None
+    for L, cand, a, b, free in cli._orbit_units(n, tile):
+        if pairs is None or pairs[0] is not cand:
+            pairs = cand, *np.tril_indices(cand.size, -1)
+        x, y = cand[pairs[1][a:b]], cand[pairs[2][a:b]]
+        keep = np.arange(a, b) < free
+        keep[~keep] = cli._canonical(L, x[~keep], y[~keep], n)
+        yield L, x[keep], y[keep]
+
+
+class TestFrobeniusOrbits:
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_representatives_partition_triples(self, n):
+        # every orbit of the C(2^n - 2, 3) triples is met exactly once: the
+        # orbits of the representatives cover every triple, and their sizes
+        # add up to the number of triples
+        mult = (1 << n) - 1
+        total = (mult - 1) * (mult - 2) * (mult - 3) // 6
+        covered = np.zeros(total, dtype=bool)
+        size_sum = count = 0
+        small = set()
+        for L, x, y in representatives(n):
+            assert (x > L).all() and (y > L).all() and (x != y).all()
+            orbit = np.stack([np.full_like(x, L), x, y])
+            ranks = []
+            for _ in range(n):
+                e3, e2, e1 = np.sort(orbit, axis=0)
+                ranks.append(
+                    (e1 - 1) * (e1 - 2) * (e1 - 3) // 6 + (e2 - 1) * (e2 - 2) // 2 + e3 - 1)
+                orbit = orbit * 2 % mult
+            ranks = np.sort(np.stack(ranks), axis=0)
+            size_sum += int((np.diff(ranks, axis=0) != 0).sum()) + x.size
+            covered[ranks.ravel()] = True
+            count += x.size
+            if n <= 7:
+                small.update(zip([L] * x.size, np.minimum(x, y).tolist(),
+                                 np.maximum(x, y).tolist()))
+        assert size_sum == total and covered.all()
+        if n <= 7:
+            assert small == frobenius_orbit_representatives(n)
+        if n == 9:
+            assert count == 2442112
+
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_doubling_keeps_screen_and_verdict(self, n):
+        # f_{2e} = f_e^2 and squaring is injective: a triple and its doubled
+        # triple collide on the same sample points and permute together
+        spec = default_spec(n)
+        mult = spec.order - 1
+        power = _naive_powers(spec)
+        samples = [sample_points(spec, count, seed) for count, seed in ((3, 0), (5, 7), (64, 1))]
+
+        def passes(triple, points):
+            e1, e2, e3 = triple
+            return len({power[e1][x] ^ power[e2][x] ^ power[e3][x] for x in points}) == len(points)
+
+        for triple in itertools.combinations(range(mult - 1, 0, -1), 3):
+            doubled = tuple(sorted((2 * e % mult for e in triple), reverse=True))
+            for points in samples:
+                assert passes(triple, points) == passes(doubled, points), (triple, points)
+            assert naive_verdict(spec, *triple) == naive_verdict(spec, *doubled), triple
 
 
 def force_pool(monkeypatch):
@@ -295,14 +432,14 @@ class TestSearchPool:
         force_pool(monkeypatch)
         baseline = threading.active_count()
 
-        def first_block():
-            blocks = cli._search_blocks(default_spec(8), 64, 1)
-            e1, rows, is_perm = next(blocks)
+        def first_tile():
+            tiles = cli._screen(default_spec(8), 64, 1)
+            triples, is_perm = next(tiles)
             assert threading.active_count() > baseline + 1   # the pool is running
-            blocks.close()
-            return e1
+            tiles.close()
+            return set(triples[:, 2].tolist())
 
-        assert within(60, first_block) == 3
+        assert within(60, first_tile) == {1}   # leader 1's first tile
         assert threading.active_count() == baseline
 
     def test_worker_error_surfaces_and_joins_the_pool(self, capsys, monkeypatch):
@@ -333,14 +470,14 @@ class TestSearchPool:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         baseline = threading.active_count()
 
-        def first_block():
-            blocks = cli._search_blocks(default_spec(8), 64, 1)
-            e1, _, _ = next(blocks)
+        def first_tile():
+            tiles = cli._screen(default_spec(8), 64, 1)
+            triples, _ = next(tiles)
             running = threading.active_count() > baseline + 1   # + 1: this helper
-            blocks.close()
-            return e1, running
+            tiles.close()
+            return set(triples[:, 2].tolist()), running
 
-        assert within(60, first_block) == (3, pooled)
+        assert within(60, first_tile) == ({1}, pooled)
         assert threading.active_count() == baseline
 
     def test_workers_stay_off_the_library(self, capsys, monkeypatch):
