@@ -188,20 +188,9 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
             work = local.work = np.empty((tile, cols.shape[1]), cols.dtype)
         vals = work[:b - a]
         j, i = i2[a:b], i3[a:b]
-        # row r is pair (j, i) = (i2[r], i3[r]); the rows of one j XOR j's
-        # row, leader included, with a contiguous run of cand's sampled rows
-        first, last = int(j[0]), int(j[-1])
-        if b - a < 64 * (last - first + 1):
-            # runs shorter than about 64 rows: one gather costs less than a call per run
-            np.take(with_leader, j, axis=0, out=vals)
-            vals ^= cand_cols[i]
-        else:
-            k = 0
-            for run in range(first, last + 1):
-                lo = int(i[0]) if run == first else 0
-                hi = int(i[-1]) + 1 if run == last else run
-                np.bitwise_xor(cand_cols[lo:hi], with_leader[run], out=vals[k:k + hi - lo])
-                k += hi - lo
+        # row r is pair (j, i) = (i2[r], i3[r]): j's row, leader included, XOR i's row
+        np.take(with_leader, j, axis=0, out=vals)
+        vals ^= cand_cols[i]
         if b > free:
             keep = np.ones(b - a, dtype=bool)
             f = max(free - a, 0)
@@ -338,7 +327,9 @@ def _cmd_search(args) -> int:
         raise BudgetExceededError(
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
             f"(n = {SEARCH_DEGREE_LIMIT} takes about 9 s on two cores and each further "
-            f"degree at least 8 times as long; rerun with --force)")
+            f"degree at least 8 times as long; no row is written until the whole search "
+            f"ends, and its two bit maps take 356 MB at n = 11 and 2.9 GB at n = 12; "
+            f"rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")
@@ -346,7 +337,11 @@ def _cmd_search(args) -> int:
     for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
         tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
     spec.build_tables()   # refuses n > 20 before the output file is opened
-    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as stream:
+    try:
+        out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ValueError(f"cannot write {args.out}: {exc}") from None
+    with out as stream:
         blocks = _search_blocks(spec, args.samples, args.seed)
         # "e2,e3," of every pair row, in ascending (e2, e3) order
         nums = [f"{e}," for e in range(1, spec.order - 2)]
@@ -458,7 +453,7 @@ def main(argv=None) -> int:
         if getattr(args, "n_max", None) is not None and not 2 <= args.n_max <= N_MAX_LIMIT:
             raise ValueError(f"--n-max must be in [2, {N_MAX_LIMIT}]")
         return args.func(args)
-    except (ConditionViolatedError, DegreeMismatchError, ValueError, OSError) as exc:
+    except (ConditionViolatedError, DegreeMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

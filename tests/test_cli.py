@@ -288,6 +288,17 @@ class TestSearch:
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and str(path) in err and "\n" == err[-1]
 
+    def test_write_error_is_not_a_parameter_error(self, monkeypatch):
+        # only an --out path that cannot be opened exits 2; a write that fails
+        # part-way (a closed pipe, a full disk) is not a parameter error
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        with pytest.raises(BrokenPipeError):
+            main(["search", "--n", "5"])
+
     def test_bad_samples_exit2_without_creating_out(self, capsys, tmp_path):
         path = tmp_path / "x.csv"
         rc, out, err = run(capsys, "search", "--n", "5", "--samples", "0", "--out", str(path))
