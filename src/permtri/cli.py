@@ -11,10 +11,11 @@ order and the search CSV is byte-identical for a fixed seed.  ``verify``
 runs on one thread; ``search`` screens its tiles on one worker thread per
 CPU in the process's affinity set, and its output is the same on any
 number of CPUs.  The ``--threads`` flag of both is accepted and ignored.
-``search`` screens and confirms one triple per Frobenius orbit, since the
-doubled triple's trinomial is the square of the triple's, records each
-verdict for the whole orbit in a one-bit-per-triple map in CSV order, and
-writes the rows in ascending e1 once every orbit is decided.
+``search`` screens and confirms a set of triples that meets every Frobenius
+orbit, since the doubled triple's trinomial is the square of the triple's,
+records each survivor's whole orbit in a one-bit-per-triple map in CSV
+order and each permuting orbit in a sorted array of ranks, and writes the
+rows in ascending e1 once every orbit is decided.
 """
 
 import argparse
@@ -41,7 +42,6 @@ from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 SEARCH_DEGREE_LIMIT = 10
 N_MAX_LIMIT = 64       # largest --n-max of gcd-suite and families
 SCREEN_TILE = 4096     # pair rows per screen step
-CONFIRM_BATCH = 4096   # survivors per confirm step
 CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
@@ -107,14 +107,13 @@ def _distinct_rows(vals):
 
 
 def _orbit_units(n: int, tile: int):
-    """Tiles of one representative per Frobenius orbit of triples e1 > e2 > e3 >= 1.
+    """Tiles of triples e1 > e2 > e3 >= 1 that meet every Frobenius orbit.
 
-    The representative is the member whose ascending tuple is least, so its least
-    exponent L is a coset leader and the other two lie in cosets led by L or more.
-    Yields (L, cand, a, b, free): the representatives are (L, cand[j], cand[i]) for
-    the pairs (j, i) of rows a <= r < b of np.tril_indices(len(cand), -1), those from
-    row free on only where _canonical keeps them.  Those rows pair with L's own coset,
-    and a leader whose coset has fewer than n members has free = 0.
+    A triple's least exponent L is a coset leader and the other two lie in cosets
+    led by L or more, so each orbit's member with the least ascending tuple is
+    among them; some orbits are met more than once.  Yields (L, cand, a, b): the
+    triples are (L, cand[j], cand[i]) for the pairs (j, i) of rows a <= r < b of
+    np.tril_indices(len(cand), -1).
     """
     import numpy as np
     mult = (1 << n) - 1
@@ -125,35 +124,17 @@ def _orbit_units(n: int, tile: int):
         e = e * 2 % mult
         np.minimum(lead, e, out=lead)
     for L in np.flatnonzero(lead == np.arange(mult))[1:].tolist():
-        coset = np.flatnonzero(lead == L)
-        higher = np.flatnonzero(lead > L)
-        cand = np.concatenate([higher, coset[1:]])
-        free = higher.size * (higher.size - 1) // 2 if coset.size == n else 0
+        cand = np.flatnonzero(lead >= L)[1:]   # cosets led by L or more, less L
         total = cand.size * (cand.size - 1) // 2
         for a in range(0, total, tile):
-            yield L, cand, a, min(a + tile, total), free
-
-
-def _canonical(L: int, x, y, n: int):
-    """True where (L, x, y) is the least ascending tuple of its Frobenius orbit,
-    given that every exponent in the orbit is at least L."""
-    import numpy as np
-    mult = (1 << n) - 1
-    lo, hi = np.minimum(x, y), np.maximum(x, y)
-    # row j - 1 of each is the triple times 2^j, for j = 1 .. n - 1
-    doubled = np.array([pow(2, j, mult) for j in range(1, n)], np.int64)[:, None]
-    a, b, c = L * doubled % mult, lo * doubled % mult, hi * doubled % mult
-    first = np.minimum(np.minimum(b, c), a)
-    last = np.maximum(np.maximum(b, c), a)
-    mid = a + b + c - first - last
-    return ((first > L) | (mid > lo) | ((mid == lo) & (last >= hi))).all(axis=0)
+            yield L, cand, a, min(a + tile, total)
 
 
 def _screen(spec: FieldSpec, sample_count: int, seed: int):
-    """Screen one representative per Frobenius orbit of triples e1 > e2 > e3 >= 1 on
-    seeded sample points and fully check the survivors.  Set-up runs now; the iterator
-    yields (triples, is_perm) per tile of representatives, where triples holds the
-    surviving representatives' exponents, one row each, in no order within a row.
+    """Screen a cover of the Frobenius orbits of triples e1 > e2 > e3 >= 1 on seeded
+    sample points and fully check the survivors.  Yields (triples, is_perm) per tile,
+    where triples holds the surviving triples' exponents, one row each, in no order
+    within a row.
 
     f_{2e} = (f_e)^2 and squaring is injective, so a whole orbit shares the sample
     screen's outcome and the verdict."""
@@ -173,16 +154,16 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
 
     def units():
         last = None
-        for L, cand, a, b, free in _orbit_units(n, tile):
+        for L, cand, a, b in _orbit_units(n, tile):
             if cand is not last:
                 last, cand_cols = cand, cols[cand - 1]
                 with_leader = cand_cols ^ cols[L - 1]
-            yield L, cand, cand_cols, with_leader, a, b, free
+            yield L, cand, cand_cols, with_leader, a, b
 
     # worker threads run unit() and call numpy only: nothing here touches a
     # FieldSpec or any other library function
     def unit(args):
-        L, cand, cand_cols, with_leader, a, b, free = args
+        L, cand, cand_cols, with_leader, a, b = args
         work = getattr(local, "work", None)
         if work is None:
             work = local.work = np.empty((tile, cols.shape[1]), cols.dtype)
@@ -191,110 +172,92 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
         # row r is pair (j, i) = (i2[r], i3[r]): j's row, leader included, XOR i's row
         np.take(with_leader, j, axis=0, out=vals)
         vals ^= cand_cols[i]
-        if b > free:
-            keep = np.ones(b - a, dtype=bool)
-            f = max(free - a, 0)
-            keep[f:] = _canonical(L, cand[j[f:]], cand[i[f:]], n)
-            keep = np.flatnonzero(keep)
-            vals, j, i = vals[keep], j[keep], i[keep]
         keep = _distinct_rows(vals)
         tri = np.empty((int(keep.sum()), 3), np.int64)
         tri[:, 0], tri[:, 1], tri[:, 2] = cand[j[keep]], cand[i[keep]], L
         # full check: f permutes iff its values over the whole field are
         # distinct; most survivors already collide on the first points
+        rows = np.arange(tri.shape[0])
+        for table in (pow_[:, :CONFIRM_HEAD], pow_):
+            e = tri[rows] - 1
+            vals = table[e[:, 0]]
+            vals ^= table[e[:, 1]]
+            vals ^= table[e[:, 2]]
+            rows = rows[_distinct_rows(vals)]
         is_perm = np.zeros(tri.shape[0], dtype=bool)
-        for s in range(0, tri.shape[0], CONFIRM_BATCH):
-            rows = np.arange(s, min(s + CONFIRM_BATCH, tri.shape[0]))
-            for table in (pow_[:, :CONFIRM_HEAD], pow_):
-                e = tri[rows] - 1
-                vals = table[e[:, 0]]
-                vals ^= table[e[:, 1]]
-                vals ^= table[e[:, 2]]
-                rows = rows[_distinct_rows(vals)]
-            is_perm[rows] = True
+        is_perm[rows] = True
         return tri, is_perm
 
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    largest = (mult - 2) * (mult - 3) // 2
-
-    def screened():
-        if workers == 1 or largest <= tile:
-            # a pool costs more than it saves when every leader fits in one tile
-            yield from map(unit, units())
-            return
-        # imported here: only a multi-CPU search needs the pool, and loading it
-        # costs every other command about 0.6 MB of resident memory
-        from concurrent.futures import ThreadPoolExecutor
-        pool = ThreadPoolExecutor(workers)
-        try:
-            pending = deque()
-            for args in units():
-                pending.append(pool.submit(unit, args))
-                if len(pending) >= 2 * workers:
-                    yield pending.popleft().result()
-            while pending:
+    if workers == 1 or (mult - 2) * (mult - 3) // 2 <= tile:
+        # a pool costs more than it saves when every leader fits in one tile
+        yield from map(unit, units())
+        return
+    # imported here: only a multi-CPU search needs the pool, and loading it
+    # costs every other command about 0.6 MB of resident memory
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for args in units():
+            pending.append(pool.submit(unit, args))
+            if len(pending) >= 2 * workers:
                 yield pending.popleft().result()
-        finally:
-            pool.shutdown(cancel_futures=True)
-    return screened()
-
-
-def _bit_run(bits, start: int, size: int):
-    # bits start .. start + size - 1 of a little-endian bit map, as bools
-    import numpy as np
-    first = start >> 3
-    raw = np.unpackbits(bits[first:(start + size + 7) >> 3], bitorder="little")
-    return raw[start - 8 * first:][:size].view(bool)
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
-    """Screen and check every triple e1 > e2 > e3 >= 1 through one representative per
-    Frobenius orbit.  Set-up runs now; the iterator decides every orbit, then yields
-    (e1, rows, is_perm) per e1 in ascending order, where rows index the pairs (e2, e3)
-    in ascending (e2, e3) order."""
+    """Screen and check every triple e1 > e2 > e3 >= 1 through a cover of its
+    Frobenius orbits, then yield (e1, rows, is_perm) per e1 in ascending order, where
+    rows index the pairs (e2, e3) in ascending (e2, e3) order."""
     import numpy as np
     mult = spec.order - 1
-    screened = _screen(spec, sample_count, seed)
-    # a triple's bit is its colex rank C(e1 - 1, 3) + C(e2 - 1, 2) + e3 - 1, so each
-    # e1 block is the run of C(e1 - 1, 2) bits from C(e1 - 1, 3), in the CSV's order
+    # a triple's rank is C(e1 - 1, 3) + C(e2 - 1, 2) + e3 - 1, so each e1 block is
+    # the run of C(e1 - 1, 2) ranks from C(e1 - 1, 3), in the CSV's order
     e = np.arange(mult, dtype=np.int64)
     c3, c2 = (e - 1) * (e - 2) * (e - 3) // 6, (e - 1) * (e - 2) // 2
+    # one bit per surviving triple, and the ranks of the permuting ones
+    found = np.zeros((int(c3[-1] + c2[-1]) + 7) // 8, np.uint8)
+    perms, held, count = [np.zeros(0, np.int64)], [], 0
 
-    def blocks():
-        nbytes = (int(c3[-1] + c2[-1]) + 7) // 8
-        found, perms = np.zeros(nbytes, np.uint8), np.zeros(nbytes, np.uint8)
-        held, count = [], 0
+    def mark():
+        # notes every member of the orbits of the held triples; an orbit met
+        # twice is noted twice, the same way
+        tri, is_perm = (np.concatenate(part) for part in zip(*held))
+        a, b, c = tri.T
+        for _ in range(spec.n):
+            e1, e3 = np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
+            rank = c3[e1] + c2[a + b + c - e1 - e3] + e3 - 1
+            np.bitwise_or.at(found, rank >> 3, np.left_shift(1, rank & 7).astype(np.uint8))
+            perms.append(rank[is_perm])
+            a, b, c = a * 2 % mult, b * 2 % mult, c * 2 % mult
+        held.clear()
 
-        def mark():
-            # sets the bit of every member of the orbits of the held triples
-            tri, is_perm = (np.concatenate(part) for part in zip(*held))
-            for bits, rows in ((found, tri), (perms, tri[is_perm])):
-                a, b, c = rows.T
-                for _ in range(spec.n):
-                    e1, e3 = np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
-                    rank = c3[e1] + c2[a + b + c - e1 - e3] + e3 - 1
-                    np.bitwise_or.at(bits, rank >> 3,
-                                     np.left_shift(1, rank & 7).astype(np.uint8))
-                    a, b, c = a * 2 % mult, b * 2 % mult, c * 2 % mult
-            held.clear()
-
-        # tiles are marked in groups of about SCREEN_TILE triples: few calls
-        # when few survive, and about one tile's memory when all do
-        with closing(screened):
-            for tri, is_perm in screened:
-                held.append((tri, is_perm))
-                count += len(tri)
-                if count >= SCREEN_TILE:
-                    mark()
-                    count = 0
-        if held:
-            mark()
-        for e1 in range(3, mult):
-            start, size = int(c3[e1]), int(c2[e1])
-            rows = np.flatnonzero(_bit_run(found, start, size))
-            yield e1, rows, _bit_run(perms, start, size)[rows]
-    return blocks()
+    # tiles are marked in groups of about SCREEN_TILE triples: few calls
+    # when few survive, and about one tile's memory when all do
+    with closing(_screen(spec, sample_count, seed)) as tiles:
+        for tri, is_perm in tiles:
+            held.append((tri, is_perm))
+            count += len(tri)
+            if count >= SCREEN_TILE:
+                mark()
+                count = 0
+    if held:
+        mark()
+    perms = np.unique(np.concatenate(perms))
+    for e1 in range(3, mult):
+        start, end = int(c3[e1]), int(c3[e1] + c2[e1])
+        bits = np.unpackbits(found[start >> 3:(end + 7) >> 3], bitorder="little")
+        rows = np.flatnonzero(bits[start & 7:][:end - start].view(bool))
+        # every permuting triple survives the screen, so its rank is in rows
+        lo, hi = np.searchsorted(perms, (start, end))
+        is_perm = np.zeros(rows.size, dtype=bool)
+        is_perm[np.searchsorted(rows, perms[lo:hi] - start)] = True
+        yield e1, rows, is_perm
 
 
 def _block_text(e1, rows, is_perm, pair_text, tagged):
@@ -328,7 +291,7 @@ def _cmd_search(args) -> int:
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
             f"(n = {SEARCH_DEGREE_LIMIT} takes about 9 s on two cores and each further "
             f"degree at least 8 times as long; no row is written until the whole search "
-            f"ends, and its two bit maps take 356 MB at n = 11 and 2.9 GB at n = 12; "
+            f"ends, and its bit map takes 178 MB at n = 11 and 1.43 GB at n = 12; "
             f"rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:

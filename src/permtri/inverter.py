@@ -114,19 +114,14 @@ def _invert_f1(inst: FamilyInstance, a: int, b: int, c: int):
     if eps == 0:
         # the conjugate system collapses to u=b, v=c, w=a, so x^2 = ac
         return [(spec.sqrt(spec.mul(a, c)), {})]
-    # scaled linearized equation v^(2^(2k+1)) + v^2 + v = a^2/eps^2 ...
+    # scaled linearized equation v^(2^(2k+1)) + v^2 + v = a^2/eps^2; it has one
+    # solution for valid k, and _pick drops any other candidate
     a2 = spec.frobenius(a, 1)
     eps2 = spec.frobenius(eps, 1)
     sols = _f1_reduction(spec.n, spec.modulus, k).solve(spec.element(spec.div(a2, eps2)))
-    # ... intersected with the quartic v^4 + v^2 + v = (a^4+b^4+a^2 eps^2)/eps^4
-    rhs2 = spec.div(spec.frobenius(a, 2) ^ spec.frobenius(b, 2) ^ spec.mul(a2, eps2),
-                    spec.frobenius(eps, 2))
     candidates = []
     for v_scaled in sols:
-        v = v_scaled.bits
-        if v ^ spec.frobenius(v, 1) ^ spec.frobenius(v, 2) != rhs2:
-            continue
-        v = spec.mul(eps, v)                   # undo the eps scaling
+        v = spec.mul(eps, v_scaled.bits)       # undo the eps scaling
         u = spec.frobenius(v, 2 * k)
         w = eps ^ u ^ v
         candidates.append((spec.sqrt(spec.mul(v, w)), {}))

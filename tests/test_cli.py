@@ -236,17 +236,15 @@ class TestSearch:
         for e1, e2, e3, perm, *_ in rows:
             assert naive_verdict(spec, int(e1), int(e2), int(e3)) == (perm == "true")
 
-    @pytest.mark.parametrize("head,batch,tile", [(None, None, None), (4, 5, None),
-                                                 (None, None, 3)],
+    @pytest.mark.parametrize("head,tile", [(None, None), (4, 5), (None, 3)],
                              ids=["default", "small", "tiled"])
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, batch, tile):
+    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, tile):
         # "small" makes the confirm's head stage pass non-permutations on to
-        # the whole-field stage and splits each tile into many batches;
-        # "tiled" screens each leader in many tiles on a pool of two workers
+        # the whole-field stage and confirms in many small tiles; "tiled"
+        # screens each leader in many tiles; both on a pool of two workers
         if head is not None:
             monkeypatch.setattr(cli, "CONFIRM_HEAD", head)
-            monkeypatch.setattr(cli, "CONFIRM_BATCH", batch)
         if tile is not None:
             monkeypatch.setattr(cli, "SCREEN_TILE", tile)
             force_pool(monkeypatch)
@@ -263,7 +261,7 @@ class TestSearch:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_csv_matches_e1_block_oracle(self, capsys, monkeypatch, n, choice, pooled):
         # the former screen decided every triple of each e1 block on its own;
-        # "pool" also cuts the representatives into 500-row tiles
+        # "pool" also cuts the screened triples into 500-row tiles
         modulus = list(itertools.islice(irreducibles(n), 2))[choice]
         if pooled:
             force_pool(monkeypatch)
@@ -306,7 +304,7 @@ class TestSearch:
         assert not path.exists()
 
     def test_survivor_store_memory(self, monkeypatch, tmp_path):
-        # with one sample every triple survives the screen; its verdicts are
+        # with one sample every triple survives the screen; the survivors are
         # kept one bit per triple, so the peak may exceed the 64-sample run's
         # by that map and one confirm step's head values, not by a store of
         # C(254, 3) survivors.  One CPU: the peak does not depend on timing.
@@ -324,7 +322,7 @@ class TestSearch:
         lines = (tmp_path / "s1.csv").read_text().count("\n")
         assert lines == 2 + 254 * 253 * 252 // 6
         bit_map = 254 * 253 * 252 // 6 // 8
-        head = 2 * cli.CONFIRM_BATCH * cli.CONFIRM_HEAD * 2   # two uint16 blocks
+        head = 2 * cli.SCREEN_TILE * cli.CONFIRM_HEAD * 2   # two uint16 blocks
         assert peaks[1] <= peaks[64] + bit_map + head, peaks
 
     @pytest.mark.parametrize("seed,digest", [
@@ -348,50 +346,46 @@ def e1_block_digest(n, modulus, samples, seed):
     return digest(e1_block_search_csv(FieldSpec(n, modulus), samples, seed))
 
 
-def representatives(n, tile=cli.SCREEN_TILE):
-    """(L, x, y) arrays of the representatives of each unit _orbit_units yields."""
+def tile_triples(n, tile=cli.SCREEN_TILE):
+    """(L, x, y) arrays of the triples (x, y, L) of each tile _orbit_units yields."""
     pairs = None
-    for L, cand, a, b, free in cli._orbit_units(n, tile):
+    for L, cand, a, b in cli._orbit_units(n, tile):
         if pairs is None or pairs[0] is not cand:
             pairs = cand, *np.tril_indices(cand.size, -1)
-        x, y = cand[pairs[1][a:b]], cand[pairs[2][a:b]]
-        keep = np.arange(a, b) < free
-        keep[~keep] = cli._canonical(L, x[~keep], y[~keep], n)
-        yield L, x[keep], y[keep]
+        yield L, cand[pairs[1][a:b]], cand[pairs[2][a:b]]
 
 
 class TestFrobeniusOrbits:
     @pytest.mark.parametrize("n", range(2, 10))
-    def test_representatives_partition_triples(self, n):
-        # every orbit of the C(2^n - 2, 3) triples is met exactly once: the
-        # orbits of the representatives cover every triple, and their sizes
-        # add up to the number of triples
+    def test_tiles_cover_triples(self, n):
+        # the tiles meet every orbit of the C(2^n - 2, 3) triples, some of
+        # them more than once: each tile triple is strictly descending, its
+        # least exponent leads a cyclotomic coset and the other two lie in
+        # cosets led by no less, and the tile triples' orbits cover every triple
         mult = (1 << n) - 1
         total = (mult - 1) * (mult - 2) * (mult - 3) // 6
+        lead = np.array([min(e * (1 << j) % mult for j in range(n)) for e in range(mult)])
         covered = np.zeros(total, dtype=bool)
-        size_sum = count = 0
-        small = set()
-        for L, x, y in representatives(n):
-            assert (x > L).all() and (y > L).all() and (x != y).all()
-            orbit = np.stack([np.full_like(x, L), x, y])
-            ranks = []
+        count = 0
+        met = set()
+        for L, x, y in tile_triples(n):
+            assert lead[L] == L
+            assert (x > y).all() and (y > L).all()
+            assert (lead[x] >= L).all() and (lead[y] >= L).all()
+            orbit = np.stack([np.full_like(x, L), y, x])
             for _ in range(n):
                 e3, e2, e1 = np.sort(orbit, axis=0)
-                ranks.append(
-                    (e1 - 1) * (e1 - 2) * (e1 - 3) // 6 + (e2 - 1) * (e2 - 2) // 2 + e3 - 1)
+                covered[(e1 - 1) * (e1 - 2) * (e1 - 3) // 6
+                        + (e2 - 1) * (e2 - 2) // 2 + e3 - 1] = True
                 orbit = orbit * 2 % mult
-            ranks = np.sort(np.stack(ranks), axis=0)
-            size_sum += int((np.diff(ranks, axis=0) != 0).sum()) + x.size
-            covered[ranks.ravel()] = True
             count += x.size
             if n <= 7:
-                small.update(zip([L] * x.size, np.minimum(x, y).tolist(),
-                                 np.maximum(x, y).tolist()))
-        assert size_sum == total and covered.all()
+                met.update(zip([L] * x.size, y.tolist(), x.tolist()))
+        assert covered.all()
         if n <= 7:
-            assert small == frobenius_orbit_representatives(n)
+            assert frobenius_orbit_representatives(n) <= met
         if n == 9:
-            assert count == 2442112
+            assert count == 2518870   # 2,442,112 orbits
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_doubling_keeps_screen_and_verdict(self, n):

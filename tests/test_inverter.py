@@ -250,8 +250,8 @@ class TestBranchCensus:
                 assert tr.alpha.bits != 0 and len(tr.candidates) == 2
 
     def test_f1_l1_bijective_exactly_for_valid_k(self):
-        # L1 = x^(2^(2k+1)) + x^2 + x has a trivial kernel for valid k, so the
-        # quartic filter can reject a candidate only under excluded parameters
+        # L1 = x^(2^(2k+1)) + x^2 + x has a trivial kernel for valid k, so F1
+        # has more than one candidate only under excluded parameters
         for k in range(1, 11):
             spec = instantiate("F1", k=k, enforce_hypotheses=False).spec
             dim = len(_f1_reduction(spec.n, spec.modulus, k).kernel_bits)
@@ -262,7 +262,8 @@ class TestBranchCensus:
         # rejection: L1's solutions all pass the quartic or there are none.
         # F1's k = 2 algebra on F_2^9 (n != 3k, a doctored instance) reaches
         # it: L1 has a 2-dimensional kernel, and at a = 0xc all four of its
-        # solutions fail the quartic v^4 + v^2 + v = rhs2
+        # solutions fail the quartic v^4 + v^2 + v = (a^4+b^4+a^2 eps^2)/eps^4,
+        # so none of the four candidates maps to a and invert raises
         spec, k, a = default_spec(9), 2, 0xC
         params = FamilyParams(k=k)
         bad = FamilyInstance(FamilyId.F1, params, spec, exponents_of(FamilyId.F1, params))
@@ -273,7 +274,7 @@ class TestBranchCensus:
         eps = a ^ b ^ c
         rhs = spec.div(spec.frobenius(a, 1), spec.frobenius(eps, 1))
         assert len(reduction.solve(spec.element(rhs))) == 4
-        assert inverter._invert_f1(bad, a, b, c) == []
+        assert len(inverter._invert_f1(bad, a, b, c)) == 4
         with pytest.raises(NoValidCandidateError):
             invert(bad, spec.element(a))
 
