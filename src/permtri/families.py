@@ -238,11 +238,8 @@ def value_table(inst: FamilyInstance):
     spec = inst.spec
     reduced = inst.reduced_exponents()
     if spec.n > TABLE_DEGREE_LIMIT:
-        out = np.zeros(spec.order, dtype=np.uint32)   # f(0) = 0: all exponents >= 1
-        out[1:] = np.fromiter(
-            (trinomial_bits(spec, reduced, x) for x in range(1, spec.order)),
-            dtype=np.uint32, count=spec.order - 1)
-        return out
+        return np.fromiter((trinomial_bits(spec, reduced, x) for x in range(spec.order)),
+                           dtype=np.uint32, count=spec.order)
     exp_np, log_np = spec.exp_log_arrays()
     exp2, m = exp_np.base, exp_np.size     # exp_np is the first half of the doubled buffer
     others = [e for e in reduced if e != 1]      # x^1 terms cancel in pairs; one left is x

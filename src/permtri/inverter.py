@@ -9,9 +9,10 @@ enumerates every candidate the cases produce and selects by re-evaluating
 f (candidate-and-validate); the returned value is therefore always
 final-validated, and a candidate set with no valid member signals a bug or
 an invalid instance, never a caller error.  Cases that no input reaches
-are not coded: F6's linear coefficients never vanish and F5 needs no case
-at a = 1; F4's alpha = 0 branch, which no a reaches up to n = 17, stays
-because it guards a division.  F6's linearized equation is solved in
+are not coded: F6's linear coefficients never vanish, F5 needs no case
+at a = 1, and F2's exceptional denominator is (lambda + 1)^2, never 0;
+F4's alpha = 0 branch, which no a reaches up to n = 17, stays because it
+guards a division.  F6's linearized equation is solved in
 closed form whenever gcd(k, n) = 1, as for every valid (m, k): its roots
 are 1, which never passes, and 1 + lambda, so only 1 + lambda is tried.
 Excluded pairs (experiment mode) keep the general GF(2)-linear solve.
@@ -132,28 +133,22 @@ def _invert_f2(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     k = inst.params.k
     eps = a ^ b ^ c
-    b2 = spec.frobenius(b, 1)
-    c2 = spec.frobenius(c, 1)
-    zeta1 = spec.mul(a, c) ^ b2 ^ c2
+    zeta1 = spec.mul(a, c) ^ spec.frobenius(b, 1) ^ spec.frobenius(c, 1)
     if zeta1 == 0:
         raise Zeta1ZeroError(
             f"zeta1 = 0 at a=0x{a:x} (k={k}): contradicts the bijectivity argument")
-    zeta2 = spec.mul(a, b) ^ spec.frobenius(a, 1) ^ c2
-    lam = spec.pow(zeta1, (1 << k) - 1)        # zeta2/zeta1, a (2^2k+2^k+1)-th root of unity
+    zeta2 = spec.frobenius(zeta1, k)           # ab + a^2 + c^2, as a^(2^3k) = a
+    lam = spec.div(zeta2, zeta1)               # a (2^2k+2^k+1)-th root of unity
     lam2 = spec.frobenius(lam, 1)
-    lam3 = spec.mul(lam2, lam)
     extras = {"zeta1": zeta1, "zeta2": zeta2, "lam": lam}
-    den = lam3 ^ lam ^ 1
+    den = spec.mul(lam2, lam) ^ lam ^ 1
     if den != 0:
         z = spec.div(spec.mul(eps, lam2 ^ 1) ^ spec.mul(b, lam), den)
         extras["z"] = z
         return [(spec.frobenius(z, k), extras)]
-    # lambda^3+lambda+1 = 0 forces lambda^7 = 1, reachable only for k = 1 (mod 3)
-    den2 = spec.mul(lam3, lam2) ^ lam3 ^ 1
-    if den2 == 0:
-        raise ZeroDenominatorError(
-            f"lambda^5+lambda^3+1 = 0 at a=0x{a:x} (k={k})")
-    y = spec.div(b, den2)
+    # lambda^3+lambda+1 = 0 forces lambda^7 = 1, reachable only for k = 1 (mod 3);
+    # there lambda^5+lambda^3+1 = (lambda+1)^2, nonzero as 1 is no root of t^3+t+1
+    y = spec.div(b, lam2 ^ 1)
     return [(spec.mul(spec.frobenius(lam, 2), y), extras)]
 
 

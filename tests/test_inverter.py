@@ -18,8 +18,8 @@ from permtri import inverter
 from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
 from permtri.linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
 from permtri.permcheck import inverse_table
-from oracles import (oracle_trinomial, per_column_matrix_of, rref_solve_bits,
-                     solve_based_f6_invert)
+from oracles import (oracle_trinomial, per_column_matrix_of, repeated_squaring_frobenius,
+                     rref_solve_bits, solve_based_f6_invert)
 
 
 class TestAnchors:
@@ -203,26 +203,44 @@ class TestTraceConsistency:
 
 
 class TestF2BranchCoverage:
-    def test_k1_branch_reachable_and_recorded(self):
-        # k = 1 (mod 3): lambda^3+lambda+1 = 0 occurs; coverage recorded,
-        # correctness asserted either way
-        inst = instantiate("F2", k=1)
+    # from each trace, on shift-and-XOR arithmetic: zeta2 = zeta1^(2^k) =
+    # lambda zeta1, and on the lambda^3+lambda+1 = 0 branch the paper's
+    # denominator lambda^5+lambda^3+1 is (lambda+1)^2, never 0
+    @staticmethod
+    def _branch_hits(inst, a_values):
         spec = inst.spec
+        mul = spec.mul_baseline
         hits = []
-        for a in range(1, spec.order):
+        for a in a_values:
             tr = invert(inst, spec.element(a))[1]
-            lam = tr.lam
-            if (lam * lam * lam + lam + spec.one).bits == 0:
+            zeta1, zeta2, lam = tr.zeta1.bits, tr.zeta2.bits, tr.lam.bits
+            assert zeta2 == repeated_squaring_frobenius(spec, zeta1, inst.params.k)
+            assert zeta2 == mul(lam, zeta1)
+            lam2 = mul(lam, lam)
+            lam3 = mul(lam2, lam)
+            if lam3 ^ lam ^ 1 == 0:
+                assert mul(lam3, lam2) ^ lam3 ^ 1 == mul(lam ^ 1, lam ^ 1) != 0
                 hits.append(a)
-        assert hits == [0x3, 0x5, 0x7]
+        return hits
+
+    def test_k1_branch_reachable_and_recorded(self):
+        # k = 1 (mod 3): lambda^3+lambda+1 = 0 occurs, on every a of n = 3 and 12
+        inst = instantiate("F2", k=1)
+        assert self._branch_hits(inst, range(1, inst.spec.order)) == [0x3, 0x5, 0x7]
+        inst = instantiate("F2", k=4)
+        assert len(self._branch_hits(inst, range(1, inst.spec.order))) == 45
 
     def test_k0_mod3_branch_never_fires(self):
         inst = instantiate("F2", k=3)
-        spec = inst.spec
-        for a in range(1, spec.order):
-            tr = invert(inst, spec.element(a))[1]
-            lam = tr.lam
-            assert (lam * lam * lam + lam + spec.one).bits != 0
+        assert self._branch_hits(inst, range(1, inst.spec.order)) == []
+
+    @pytest.mark.parametrize("k", [7, 9, 10])
+    def test_identities_on_wide_samples(self, k):
+        inst = instantiate("F2", k=k)
+        rng = random.Random(f"f2-identities-{k}")
+        a_values = [rng.randrange(1, inst.spec.order) for _ in range(2000)]
+        # about 3 in 2^2k of the a reach lambda^3+lambda+1 = 0 when k = 1 (mod 3)
+        assert self._branch_hits(inst, a_values) == []
 
 
 class TestF6Degeneracy:
