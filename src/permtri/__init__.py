@@ -61,7 +61,6 @@ from .inverter import (
     InversionTrace,
     NoValidCandidateError,
     Zeta1ZeroError,
-    ZeroDenominatorError,
     invert,
 )
 

@@ -10,15 +10,17 @@ f (candidate-and-validate); the returned value is therefore always
 final-validated, and a candidate set with no valid member signals a bug or
 an invalid instance, never a caller error.  Cases that no input reaches
 are not coded: F6's linear coefficients never vanish, F5 needs no case
-at a = 1, and F2's exceptional denominator is (lambda + 1)^2, never 0;
-F4's alpha = 0 branch, which no a reaches up to n = 17, stays because it
-guards a division.  F6's linearized equation is solved in
+at a = 1, F2's exceptional denominator is (lambda + 1)^2, never 0, and
+F3's and F5's denominators and F4's alpha never vanish at a != 0 (each
+routine carries its proof).  F6's linearized equation is solved in
 closed form whenever gcd(k, n) = 1, as for every valid (m, k): its roots
 are 1, which never passes, and 1 + lambda, so only 1 + lambda is tried.
 Excluded pairs (experiment mode) keep the general GF(2)-linear solve.
 
 Throughout, b and c denote the conjugates a^(2^k) and a^(2^2k), and
-epsilon = a + b + c (which lies in F_{2^k} when n = 3k).
+epsilon = a + b + c (which lies in F_{2^k} when n = 3k).  The nonvanishing
+proofs apply x -> x^(2^k) once, which maps (a, b, c) to (b, c, a^(2^3k)), with
+a^(2^3k) = sqrt(a) for n = 3k + 1 and a^2 for n = 3k - 1; no hypothesis on k.
 """
 
 import functools
@@ -44,11 +46,7 @@ class InternalContradictionError(InversionError):
 
 
 class Zeta1ZeroError(InternalContradictionError):
-    """zeta1 = ac + b^2 + c^2 vanished while inverting F2."""
-
-
-class ZeroDenominatorError(InternalContradictionError):
-    """A division guaranteed well-defined hit a zero denominator."""
+    """zeta1 = ac + b^2 + c^2 vanished in F2: seen only for excluded k = 2 (mod 3)."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +86,9 @@ class InversionTrace:
 
 
 def _pick(inst: FamilyInstance, a: int, pairs) -> tuple[int, dict]:
-    for x, extras in pairs:
+    # F3's x = a and F4's x = a + 1 are rarely the answer: try the closed form
+    # first.  Both permute for every k, so the order cannot change the choice
+    for x, extras in pairs[::-1] if inst.family in (FamilyId.F3, FamilyId.F4) else pairs:
         if trinomial_bits(inst.spec, inst.exponents, x) == a:
             return x, extras
     raise NoValidCandidateError(
@@ -136,7 +136,7 @@ def _invert_f2(inst: FamilyInstance, a: int, b: int, c: int):
     zeta1 = spec.mul(a, c) ^ spec.frobenius(b, 1) ^ spec.frobenius(c, 1)
     if zeta1 == 0:
         raise Zeta1ZeroError(
-            f"zeta1 = 0 at a=0x{a:x} (k={k}): contradicts the bijectivity argument")
+            f"zeta1 = 0 at a=0x{a:x}: reachable only for the excluded k = 2 (mod 3), here k={k}")
     zeta2 = spec.frobenius(zeta1, k)           # ab + a^2 + c^2, as a^(2^3k) = a
     lam = spec.div(zeta2, zeta1)               # a (2^2k+2^k+1)-th root of unity
     lam2 = spec.frobenius(lam, 1)
@@ -159,10 +159,10 @@ def _invert_f3(inst: FamilyInstance, a: int, b: int, c: int):
     a2 = spec.frobenius(a, 1)
     b2 = spec.frobenius(b, 1)
     c2 = spec.frobenius(c, 1)
+    # den = q^2 with q = a + ab + b^2 + c^2 + 1, never 0 for a != 0: if q = 0,
+    # its image b + bc + c^2 + a + 1 is 0 too, and their sum b(a + b + c + 1)
+    # gives c = a + b + 1; then q = a(a + b + 1) gives b = a + 1, so c = 0 = a
     den = a2 ^ spec.mul(a2, b2) ^ spec.frobenius(b, 2) ^ spec.frobenius(c, 2) ^ 1
-    if den == 0:
-        raise ZeroDenominatorError(
-            f"a^2+a^2b^2+b^4+c^4+1 = 0 at a=0x{a:x}: possible only for a in {{0,1}}")
     # from den*(x+a)^2 = a*b^2*(a^2+b^2+c^2+1)*(x+a): x = a or a + ab^2*num/den
     offset = spec.div(spec.mul(spec.mul(a, b2), a2 ^ b2 ^ c2 ^ 1), den)
     return [(a, {}), (a ^ offset, {})]
@@ -179,9 +179,8 @@ def _invert_f4(inst: FamilyInstance, a: int, b: int, c: int):
              ^ spec.mul(a2, c) ^ b2 ^ bc ^ c ^ 1)
     theta = spec.mul(spec.mul(a2, a), bc) ^ spec.mul(a, bc)
     extras = {"alpha": alpha, "beta_coef": beta, "gamma": gamma, "theta_coef": theta}
-    if alpha == 0:
-        # the cubic degenerates to x^2 = a^2 + 1
-        return [(a ^ 1, extras)]
+    # alpha != 0 for a != 0: alpha plus its image c^2 + b^2 + a^2 c + a^2 + 1 is
+    # c(c + b + 1 + a^2), so alpha = 0 forces c = a^2 + b + 1, and then alpha = a^2 b
     return [(a ^ 1, extras), (spec.div(beta, alpha), extras)]
 
 
@@ -189,10 +188,10 @@ def _invert_f5(inst: FamilyInstance, a: int, b: int, c: int):
     spec = inst.spec
     a2 = spec.frobenius(a, 1)
     b2 = spec.frobenius(b, 1)
+    # den != 0 for a != 0: den plus its image a^2 b^2 + b^2 + c^2 + a^4 + 1 is
+    # a^2(c + 1 + a^2 + b^2), so den = 0 forces c = a^2 + b^2 + 1; then
+    # den = b^2(a^2 + b^2 + 1) gives b = a + 1, so c = 0 = a
     den = spec.mul(a2, c) ^ a2 ^ b2 ^ spec.frobenius(c, 1) ^ 1
-    if den == 0:
-        raise ZeroDenominatorError(
-            f"a^2c+a^2+b^2+c^2+1 = 0 at a=0x{a:x}: excluded while f is onto")
     num = (spec.mul(a2, a) ^ spec.mul(a, b2) ^ spec.mul(a, spec.mul(b, c))
            ^ spec.mul(a, c) ^ a)
     return [(spec.div(num, den), {})]

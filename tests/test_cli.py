@@ -141,6 +141,14 @@ class TestInvert:
                          "--force-params", "--a", hex(missing))
         assert rc == 4 and "no candidate" in err
 
+    def test_zeta1_zero_exit4_names_excluded_k(self, capsys):
+        # zeta1 = 0 on 9 of the 63 nonzero a at the excluded k = 2 (n = 6)
+        rc, out, err = run(capsys, "invert", "--family", "F2", "--k", "2",
+                           "--force-params", "--a", "0xf")
+        assert (rc, out) == (4, "")
+        assert err == ("error: zeta1 = 0 at a=0xf: reachable only for the excluded"
+                       " k = 2 (mod 3), here k=2\n")
+
 
 class TestSearch:
     def test_n6_has_no_family_rows_and_is_deterministic(self, capsys, tmp_path):

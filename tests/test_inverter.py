@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from permtri.families import (
@@ -13,7 +15,7 @@ from permtri.families import (
     instantiate,
     value_table,
 )
-from permtri.field import cube_root_of_unity, default_spec
+from permtri.field import FieldSpec, cube_root_of_unity, default_spec, irreducibles
 from permtri import inverter
 from permtri.inverter import NoValidCandidateError, _f1_reduction, invert
 from permtri.linalg2 import ColumnReduction, LinearizedPoly, matrix_of, solve_affine
@@ -257,15 +259,86 @@ class TestF6Degeneracy:
                 assert spec.mul(w ^ 1, big_a) ^ a != 0
 
 
+# The inverter's denominators, unguarded (F3's and F5's den, F4's alpha in
+# beta/alpha) and guarded (F2's zeta1), as a constant plus monomials
+# a^i b^j c^l in the conjugates b = a^(2^k), c = a^(2^2k), written as in
+# inverter.py; F3's den is q^2 with q = a + ab + b^2 + c^2 + 1.  Each is
+# nonzero at every a != 0: by a proof in inverter.py for F3, F4 and F5, as
+# an observation on valid k for F2 (the excluded k = 2 (mod 3) reach 0).
+NONVANISHING = {   # family: (whole fields up to this n, constant, exponents)
+    FamilyId.F2: (18, 0, ((1, 0, 1), (0, 2, 0), (0, 0, 2))),
+    FamilyId.F3: (16, 1, ((2, 0, 0), (2, 2, 0), (0, 4, 0), (0, 0, 4))),
+    FamilyId.F4: (16, 1, ((2, 0, 0), (0, 2, 0), (0, 1, 1), (0, 0, 1))),
+    FamilyId.F5: (16, 1, ((2, 0, 1), (2, 0, 0), (0, 2, 0), (0, 0, 2))),
+}
+
+
+def _whole_field_values(spec, k, const, terms):
+    # the quantity at every a = g^i, i < 2^n - 1, by log tables: conjugation
+    # multiplies the log by 2^k
+    exp = spec.exp_log_arrays()[0]
+    order = spec.order - 1
+    logs = np.arange(order, dtype=np.int64)
+    conj = [logs, logs * pow(2, k, order) % order, logs * pow(4, k, order) % order]
+    values = np.full(order, const, dtype=np.uint32)
+    for e in terms:
+        values ^= exp[sum(ei * lg for ei, lg in zip(e, conj)) % order]
+    return values
+
+
 class TestBranchCensus:
-    def test_f4_alpha_zero_branch_never_fires(self):
-        # the alpha = 0 branch guards a division; no a reaches it up to n = 14
-        # here (nor up to n = 17 in a one-off whole-field run)
-        for inst in enumerate_instances(14, families=(FamilyId.F4,)):
+    @pytest.mark.parametrize("family", list(NONVANISHING), ids=lambda f: f.value)
+    def test_denominators_never_vanish(self, family):
+        n_whole, const, terms = NONVANISHING[family]
+        # every a != 0 of every instance with n <= n_whole, under two moduli
+        # (one at n = 2)
+        for inst in enumerate_instances(n_whole, (family,)):
+            for modulus in itertools.islice(irreducibles(inst.n), 2):
+                values = _whole_field_values(FieldSpec(inst.n, modulus), inst.params.k,
+                                             const, terms)
+                assert values.all(), (inst, hex(modulus))
+        # seeded a for 21 <= n <= 32, on shift-and-XOR arithmetic
+        rng = random.Random(f"nonvanishing-{family.value}")
+        for inst in enumerate_instances(32, (family,)):
+            if inst.n < 21:
+                continue
             spec = inst.spec
-            for a in range(1, spec.order):
-                tr = invert(inst, spec.element(a))[1]
-                assert tr.alpha.bits != 0 and len(tr.candidates) == 2
+            k = inst.params.k
+            mul = spec.mul_baseline
+            for _ in range(300):
+                a = rng.randrange(1, spec.order)
+                conj = (a, repeated_squaring_frobenius(spec, a, k),
+                        repeated_squaring_frobenius(spec, a, 2 * k))
+                value = const
+                for e in terms:
+                    term = 1
+                    for base, ei in zip(conj, e):
+                        for _ in range(ei):
+                            term = mul(term, base)
+                    value ^= term
+                assert value != 0, (inst, hex(a))
+
+    def test_zeta1_vanishes_for_excluded_k(self):
+        # a control for the evaluation above: zeta1 has 9 zeros at the excluded
+        # k = 2 (n = 6) and 93 at k = 5 (n = 15), and at n = 6 they are exactly
+        # the a on which invert raises Zeta1ZeroError
+        _, const, terms = NONVANISHING[FamilyId.F2]
+        zeros = {}
+        for k in (2, 5):
+            spec = instantiate("F2", k=k, enforce_hypotheses=False).spec
+            exp = spec.exp_log_arrays()[0]
+            zeros[k] = {int(a) for a in exp[_whole_field_values(spec, k, const, terms) == 0]}
+        assert (len(zeros[2]), len(zeros[5])) == (9, 93)
+        inst = instantiate("F2", k=2, enforce_hypotheses=False)
+        raised = set()
+        for a in range(1, inst.spec.order):
+            try:
+                invert(inst, inst.spec.element(a))
+            except inverter.Zeta1ZeroError:
+                raised.add(a)
+            except NoValidCandidateError:
+                pass
+        assert raised == zeros[2]
 
     def test_f1_l1_bijective_exactly_for_valid_k(self):
         # L1 = x^(2^(2k+1)) + x^2 + x has a trivial kernel for valid k, so F1
@@ -379,9 +452,7 @@ class TestErrorPaths:
             InternalContradictionError,
             InversionError,
             Zeta1ZeroError,
-            ZeroDenominatorError,
         )
         assert issubclass(Zeta1ZeroError, InternalContradictionError)
-        assert issubclass(ZeroDenominatorError, InternalContradictionError)
         assert issubclass(InternalContradictionError, InversionError)
         assert issubclass(NoValidCandidateError, InversionError)
