@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from permtri.families import (
@@ -288,6 +289,49 @@ class TestGcdIdentities:
         # k = 2 (mod 3) genuinely breaks the F2 identities; the hypothesis
         # is not decorative
         assert math.gcd(2 ** 2 + 3, 7) == 7
+
+
+class TestFamilyIdentities:
+    """Two identities between the families, by exponent arithmetic:
+    F5(x) = F4(x^C) with C = 2^2k + 2^k + 1, since the exponents of F4 times
+    C reduce mod 2^(3k-1) - 1 to those of F5; and F6(n - k, m)(x) =
+    F6(k, m)(x)^(2^2m), since the exponents of F6(k, m) times 2^2m reduce
+    mod 2^n - 1 to those of F6(n - k, m).  C is a unit, so both pairs
+    permute together."""
+
+    def test_c_inverts_to_2k_minus_1(self):
+        # C (2^k - 1) = 2^3k - 1 = 2 * 2^(3k-1) - 1 = 1 (mod 2^(3k-1) - 1)
+        for k in range(1, 22):      # every n = 3k - 1 <= 64
+            c = 2 ** (2 * k) + 2 ** k + 1
+            assert c * (2 ** k - 1) % (2 ** (3 * k - 1) - 1) == 1, k
+
+    def test_value_tables_agree(self):
+        pairs = 0
+        for inst in enumerate_instances(20):
+            if inst.family not in (FamilyId.F5, FamilyId.F6):
+                continue
+            n, k, m = inst.n, inst.params.k, inst.params.m
+            for modulus in itertools.islice(irreducibles(n), 2):
+                spec = FieldSpec(n, modulus)
+                exp_np, log_np = spec.exp_log_arrays()
+                order = exp_np.size
+                table = value_table(instantiate(inst.family, inst.params, spec))
+                if inst.family is FamilyId.F5:
+                    # F5[x] == F4[x^C]
+                    c = 2 ** (2 * k) + 2 ** k + 1
+                    power = np.zeros(spec.order, dtype=np.intp)
+                    power[1:] = exp_np[c * log_np[1:].astype(np.int64) % order]
+                    other = value_table(instantiate("F4", k=k, spec=spec))[power]
+                else:
+                    # F6(n - k, m)[x] == F6(k, m)[x]^(2^2m)
+                    other = np.zeros_like(table)
+                    nonzero = table != 0
+                    shifted = log_np[table[nonzero]].astype(np.int64) << (2 * m)
+                    other[nonzero] = exp_np[shifted % order]
+                    table = value_table(instantiate("F6", k=n - k, m=m, spec=spec))
+                assert np.array_equal(table, other), (inst, modulus)
+                pairs += 1
+        assert pairs == 13 + 52    # 7 F5 and 26 F6 instances; n = 2 has one modulus
 
 
 class TestValidateParams:

@@ -1,3 +1,7 @@
+import hashlib
+import itertools
+import json
+import math
 import random
 
 import numpy as np
@@ -320,12 +324,15 @@ class TestCycleStructure:
         assert cycle_structure(table, default_spec(18)) == expected
 
     def test_every_instance_n17_to_n20_matches_naive_walk(self):
+        # check takes the orbit route on these tables; the ruler walk is
+        # called directly so that it keeps its own coverage on them
         for inst in enumerate_instances(20):
             if inst.n < 17:
                 continue
             vt = value_table(inst)
             expected = naive_cycle_type(vt.tolist())
             assert check(vt, inst.spec).cycle_type == expected, inst
+            assert permcheck._cycle_type_of_table(vt) == expected, inst
 
     @pytest.mark.parametrize("spacing", [1, 2, "none"])
     def test_cycle_type_independent_of_rulers(self, monkeypatch, spacing):
@@ -342,6 +349,128 @@ class TestCycleStructure:
             spec = default_spec(table.size.bit_length() - 1)
             assert cycle_structure(table, spec) == before
             assert check(table, spec).cycle_type == before
+
+
+class TestOrbitRoute:
+    """Tables of maps that commute with squaring take the Frobenius-orbit
+    route; every other table takes the exhaustive one."""
+
+    def test_every_instance_agrees_with_the_ruler_walk(self):
+        for inst in enumerate_instances(20):
+            for modulus in itertools.islice(irreducibles(inst.n), 2):
+                alt = instantiate(inst.family, inst.params, FieldSpec(inst.n, modulus))
+                vt = value_table(alt)
+                expected = permcheck._cycle_type_of_table(vt)
+                assert permcheck._orbit_cycle_type(vt, alt.spec) == expected, alt
+                report = check(vt, alt.spec)
+                assert report.is_permutation and report.missing_count == 0, alt
+                assert report.cycle_type == expected, alt
+                assert report.fixed_point_count == \
+                    np.count_nonzero(vt == np.arange(vt.size)), alt
+
+    def test_excluded_parameters_report_as_before(self):
+        # F1/F2 with k = 2, 5 and the excluded F6 pairs at n = 12 and 16:
+        # maps that commute with squaring but do not permute, so they fall
+        # back.  The digest pins their reports as the exhaustive route
+        # gives them.
+        cases = [(family, k, None) for family in ("F1", "F2") for k in (2, 5)]
+        cases += [("F6", k, m) for m in (3, 4) for k in range(1, 4 * m)
+                  if k % 2 == 0 or math.gcd(m, k) != 1]
+        lines = []
+        for family, k, m in cases:
+            inst = instantiate(family, k=k, m=m, enforce_hypotheses=False)
+            vt = value_table(inst)
+            assert permcheck._commutes_with_squaring(vt, inst.spec), inst
+            report = check(vt, inst.spec)
+            assert_exhaustive_report(report, vt)
+            lines.append(json.dumps(report.to_json_dict()))
+        assert len(lines) == 18
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
+            "d13dbc70f05874d1b71f9a1291804ec252ec02583e2573ced49d843d3fa77e80"
+
+    @pytest.mark.parametrize("n", [9, 17])
+    def test_swapped_family_table_falls_back(self, n):
+        # Still a permutation, but no longer commuting with squaring.
+        inst = next(inst for inst in enumerate_instances(n) if inst.n == n)
+        vt = value_table(inst).copy()
+        vt[[1, 2]] = vt[[2, 1]]
+        assert not permcheck._commutes_with_squaring(vt, inst.spec)
+        assert permcheck._orbit_cycle_type(vt, inst.spec) is None
+        expected = naive_cycle_type(vt.tolist())
+        assert check(vt, inst.spec).cycle_type == expected
+        assert cycle_structure(vt, inst.spec) == expected
+
+    @pytest.mark.parametrize("n", [2, 6, 11, 12, 17])
+    def test_monomials(self, n):
+        # x^d commutes with squaring; it permutes exactly when
+        # gcd(d, 2^n - 1) = 1, and x^3 with n even is 3-to-1 off 0.
+        spec = default_spec(n)
+        exp_np, log_np = spec.exp_log_arrays()
+        m = exp_np.size
+        units = [d for d in range(2, m) if math.gcd(d, m) == 1]
+        for d in [1, 3, m - 1] + units[:: max(1, len(units) // 4)]:
+            vt = np.zeros(spec.order, dtype=np.uint32)
+            vt[1:] = exp_np[d * log_np[1:].astype(np.int64) % m]
+            assert permcheck._commutes_with_squaring(vt, spec), d
+            report = check(vt, spec)
+            if math.gcd(d, m) == 1:
+                expected = naive_cycle_type(vt.tolist())
+                assert permcheck._orbit_cycle_type(vt, spec) == expected, d
+                assert report.cycle_type == expected, d
+                assert cycle_structure(vt, spec) == expected, d
+                assert report.fixed_point_count == dict(expected)[1], d
+            else:
+                assert permcheck._orbit_cycle_type(vt, spec) is None, d
+                assert_exhaustive_report(report, vt)
+                with pytest.raises(NotAPermutationError):
+                    cycle_structure(vt, spec)
+
+    def test_maps_off_the_route(self):
+        spec = default_spec(8)
+        xs = np.arange(spec.order, dtype=np.uint32)
+        square = np.array([spec.frobenius(x, 1) for x in range(spec.order)], dtype=np.uint32)
+        zero_to_one, one_to_zero = xs.copy(), xs.copy()
+        zero_to_one[0], one_to_zero[1] = 1, 0       # both commute, neither permutes
+        tables = {
+            "x + 1": xs ^ 1,                  # commutes and permutes, but moves 0
+            "random": np.random.default_rng(8).permutation(spec.order).astype(np.uint32),
+            "x^2 + x": square ^ xs,           # commutes, but sends 1 to 0
+            "x, but 0 -> 1": zero_to_one,
+            "x, but 1 -> 0": one_to_zero,
+        }
+        for name, vt in tables.items():
+            assert permcheck._orbit_cycle_type(vt, spec) is None, name
+            report = check(vt, spec)
+            if report.is_permutation:
+                assert report.cycle_type == naive_cycle_type(vt.tolist()), name
+            else:
+                assert_exhaustive_report(report, vt)
+        assert check(tables["x + 1"], spec).is_permutation
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_orbit_leaders(self, n):
+        # the necklaces of n bits other than all ones, by Moreau's formula
+        leaders, sizes = permcheck._orbit_leaders(n)
+        count = sum(2 ** math.gcd(n, i) for i in range(n)) // n - 1
+        assert leaders.size == count and not leaders.flags.writeable
+        assert int(sizes.astype(np.int64).sum()) == (1 << n) - 1
+        if n <= 12:
+            m = (1 << n) - 1
+            orbits = {}
+            for x in range(m):
+                orbit = {(x << t | x >> (n - t)) & m for t in range(n)}
+                orbits[min(orbit)] = len(orbit)
+            assert leaders.tolist() == sorted(orbits)
+            assert sizes.tolist() == [orbits[x] for x in sorted(orbits)]
+
+
+def assert_exhaustive_report(report, vt):
+    # a non-permutation's report against one scan over ascending x
+    values = vt.tolist()
+    assert not report.is_permutation and report.cycle_type is None
+    assert report.missing_count == len(values) - len(set(values))
+    assert report.fixed_point_count == sum(v == x for x, v in enumerate(values))
+    assert tuple(x.bits for x in report.collision_witness) == naive_first_collision(values)
 
 
 def long_and_short_cycles(n):
