@@ -13,9 +13,10 @@ CPU in the process's affinity set, and its output is the same on any
 number of CPUs.  The ``--threads`` flag of both is accepted and ignored.
 ``search`` screens and confirms a set of triples that meets every Frobenius
 orbit, since the doubled triple's trinomial is the square of the triple's,
-records each survivor's whole orbit in a one-bit-per-triple map in CSV
-order and each permuting orbit in a sorted array of ranks, and writes the
-rows in ascending e1 once every orbit is decided.
+confirms each survivor by the orbits of its values at 0 and one point per
+orbit of the field, records each survivor's whole orbit in a one-bit-per-
+triple map in CSV order and each permuting orbit in a sorted array of
+ranks, and writes the rows in ascending e1 once every orbit is decided.
 """
 
 import argparse
@@ -42,7 +43,6 @@ from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 SEARCH_DEGREE_LIMIT = 10
 N_MAX_LIMIT = 64       # largest --n-max of gcd-suite and families
 SCREEN_TILE = 4096     # pair rows per screen step
-CONFIRM_HEAD = 128     # points a confirm step checks before the whole field
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
 THREADS_HELP = ("accepted and ignored: verify runs on one thread, search screens on "
@@ -106,24 +106,18 @@ def _distinct_rows(vals):
     return ~same.any(axis=1)
 
 
-def _orbit_units(n: int, tile: int):
+def _orbit_units(lead, tile: int):
     """Tiles of triples e1 > e2 > e3 >= 1 that meet every Frobenius orbit.
 
     A triple's least exponent L is a coset leader and the other two lie in cosets
     led by L or more, so each orbit's member with the least ascending tuple is
-    among them; some orbits are met more than once.  Yields (L, cand, a, b): the
-    triples are (L, cand[j], cand[i]) for the pairs (j, i) of rows a <= r < b of
+    among them; some orbits are met more than once.  Given lead[e], the leader of
+    each exponent's cyclotomic coset, yields (L, cand, a, b): the triples are
+    (L, cand[j], cand[i]) for the pairs (j, i) of rows a <= r < b of
     np.tril_indices(len(cand), -1).
     """
     import numpy as np
-    mult = (1 << n) - 1
-    # lead[e] = min(e * 2^j mod 2^n - 1), the leader of e's cyclotomic coset
-    e = np.arange(mult)
-    lead = e.copy()
-    for _ in range(n - 1):
-        e = e * 2 % mult
-        np.minimum(lead, e, out=lead)
-    for L in np.flatnonzero(lead == np.arange(mult))[1:].tolist():
+    for L in np.flatnonzero(lead == np.arange(lead.size))[1:].tolist():
         cand = np.flatnonzero(lead >= L)[1:]   # cosets led by L or more, less L
         total = cand.size * (cand.size - 1) // 2
         for a in range(0, total, tile):
@@ -141,11 +135,28 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
     import numpy as np
     n, mult = spec.n, spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
-    # pow[e-1, x] = x^e for e in [1, 2^n - 2] and every x (0^e = 0); at least
-    # 16 bits wide, since numpy sorts uint16 rows far faster than uint8 rows
-    pow_ = np.zeros((mult - 1, spec.order), np.uint16 if n <= 16 else np.uint32)
-    pow_[:, 1:] = exp_np[np.outer(np.arange(1, mult), log_np[1:]) % mult]
-    cols = np.ascontiguousarray(pow_[:, sample_points(spec, sample_count, seed)])
+    # lead[e] = min(e * 2^j mod 2^n - 1), the leader of e's cyclotomic coset
+    e = np.arange(mult)
+    lead = e.copy()
+    for _ in range(n - 1):
+        e = e * 2 % mult
+        np.minimum(lead, e, out=lead)
+    # at least 16 bits wide, since numpy sorts uint16 rows far faster than uint8 rows
+    dtype = np.uint16 if n <= 16 else np.uint32
+
+    def powers(points):
+        # powers(points)[e, j] = points[j]^e for 0 < e < 2^n - 1, with 0^e = 0
+        points = np.asarray(points)
+        table = exp_np[np.outer(np.arange(mult), log_np[points]) % mult].astype(dtype)
+        table[:, points == 0] = 0
+        return table
+
+    cols = powers(sample_points(spec, sample_count, seed))
+    # f at 0 and at one point g^L per nonzero orbit; v's orbit id is lead[log v]
+    # and 0's is 2^n - 1
+    confirm = powers(np.append(0, exp_np[np.flatnonzero(lead == np.arange(mult))]))
+    orbit_id = lead[log_np].astype(dtype)
+    orbit_id[0] = mult
     # the pairs of the largest candidate list, leader 1's; every other leader's
     # pairs are a prefix
     i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
@@ -154,10 +165,10 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
 
     def units():
         last = None
-        for L, cand, a, b in _orbit_units(n, tile):
+        for L, cand, a, b in _orbit_units(lead, tile):
             if cand is not last:
-                last, cand_cols = cand, cols[cand - 1]
-                with_leader = cand_cols ^ cols[L - 1]
+                last, cand_cols = cand, cols[cand]
+                with_leader = cand_cols ^ cols[L]
             yield L, cand, cand_cols, with_leader, a, b
 
     # worker threads run unit() and call numpy only: nothing here touches a
@@ -175,17 +186,14 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
         keep = _distinct_rows(vals)
         tri = np.empty((int(keep.sum()), 3), np.int64)
         tri[:, 0], tri[:, 1], tri[:, 2] = cand[j[keep]], cand[i[keep]], L
-        # full check: f permutes iff its values over the whole field are
-        # distinct; most survivors already collide on the first points
-        rows = np.arange(tri.shape[0])
-        for table in (pow_[:, :CONFIRM_HEAD], pow_):
-            e = tri[rows] - 1
-            vals = table[e[:, 0]]
-            vals ^= table[e[:, 1]]
-            vals ^= table[e[:, 2]]
-            rows = rows[_distinct_rows(vals)]
+        # exact, as f fixes 0 and commutes with squaring (permcheck docstring): f
+        # permutes iff its values there are distinct and lie in distinct orbits
+        vals = confirm[tri[:, 0]]
+        vals ^= confirm[tri[:, 1]]
+        vals ^= confirm[tri[:, 2]]
+        rows = np.flatnonzero(_distinct_rows(vals))
         is_perm = np.zeros(tri.shape[0], dtype=bool)
-        is_perm[rows] = True
+        is_perm[rows[_distinct_rows(orbit_id[vals[rows]])]] = True
         return tri, is_perm
 
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -291,8 +299,8 @@ def _cmd_search(args) -> int:
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
             f"(n = {SEARCH_DEGREE_LIMIT} takes about 9 s on two cores and each further "
             f"degree at least 8 times as long; no row is written until the whole search "
-            f"ends; n = 11 took 152 s and 453 MB peak RSS, and n = 12 needs about "
-            f"20 min and 2.5 GB; rerun with --force)")
+            f"ends; n = 11 took about 190 s and 450 MB peak RSS, and n = 12 needs about "
+            f"25 min and 2.3 GB; rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")

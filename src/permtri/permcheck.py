@@ -44,8 +44,7 @@ much smaller permutation: pointer jumping on it (O(log) rounds of gathers
 that label every ruler with the minimum of its cycle) groups the gaps, and
 each group's exact sum is one cycle length.  The points no walker passed
 lie on cycles that hold no ruler; they are renumbered and pointer-jumped
-the same way, unweighted.  Tables of fewer than 4 * RULER_SPACING**3
-points (2^17) skip the walk and are pointer-jumped whole.
+the same way, unweighted.  A table of any size takes the walk.
 
 Maps are given either as a callable on FieldElement or as a precomputed
 value table (any integer sequence of length 2^n with entries in [0, 2^n),
@@ -339,53 +338,49 @@ def _cycle_type_of_table(values) -> tuple[tuple[int, int], ...]:
     # so the choice, and the timing, repeat from run to run.  A walker's
     # cycle holds its own ruler, so every walker stops within one cycle
     # length.  The walk costs about RULER_SPACING * ln(rulers) rounds of
-    # fixed numpy overhead.  That pays from about 4 * RULER_SPACING**2
-    # rulers on: at spacing 32 the walk halves the time at 2^17 points and
-    # only breaks even at 2^16, so smaller tables are pointer-jumped whole.
+    # fixed numpy overhead, so small tables would be faster pointer-jumped
+    # whole; but the common small ones, family tables, take the orbit route.
     # Walkers hold intp indices, which numpy gathers and scatters with no
     # cast.
     import numpy as np
     size = values.size
-    if size < 4 * RULER_SPACING ** 3:
-        sizes = np.bincount(_cycle_heads(values.copy()))
-    else:
-        # Fibonacci hashing: x times an odd 2^32 / golden ratio, wrapped to
-        # 32 bits, keeping the top log2(size) bits.
-        hashed = np.arange(size, dtype=np.uint32)
-        hashed *= np.uint32(0x9E3779B1)
-        hashed >>= np.uint32(33 - size.bit_length())
-        # One byte per point: 2 for a ruler, 1 until a walker passes, then 0.
-        mark = (hashed < size // RULER_SPACING).view(np.uint8) + np.uint8(1)
-        del hashed
-        rulers = np.flatnonzero(mark == 2)
-        next_ruler = np.empty(rulers.size, dtype=np.intp)
-        gap = np.empty(rulers.size, dtype=np.int64)
-        origin = np.arange(rulers.size)
-        at = values[rulers].astype(np.intp)
-        steps = 1
-        while at.size:
-            stop = mark[at] == 2
-            if stop.any():
-                done = origin[stop]
-                next_ruler[done] = at[stop]
-                gap[done] = steps
-                walking = ~stop
-                origin, at = origin[walking], at[walking]
-            mark[at] = 0
-            at = values[at].astype(np.intp)
-            steps += 1
-        # Rulers and unpassed points are disjoint, so one array renumbers
-        # both; it and the marks are freed before the jumping.
-        free = np.flatnonzero(mark == 1)
-        del mark
-        rank = np.empty(size, dtype=np.uint32)
-        rank[rulers] = np.arange(rulers.size, dtype=np.uint32)
-        rank[free] = np.arange(free.size, dtype=np.uint32)
-        ruler_step, free_step = rank[next_ruler], rank[values[free]]
-        del rank, free
-        ruled = np.zeros(rulers.size, dtype=np.int64)
-        np.add.at(ruled, _cycle_heads(ruler_step), gap)
-        sizes = np.concatenate([ruled, np.bincount(_cycle_heads(free_step))])
+    # Fibonacci hashing: x times an odd 2^32 / golden ratio, wrapped to
+    # 32 bits, keeping the top log2(size) bits.
+    hashed = np.arange(size, dtype=np.uint32)
+    hashed *= np.uint32(0x9E3779B1)
+    hashed >>= np.uint32(33 - size.bit_length())
+    # One byte per point: 2 for a ruler, 1 until a walker passes, then 0.
+    mark = (hashed < size // RULER_SPACING).view(np.uint8) + np.uint8(1)
+    del hashed
+    rulers = np.flatnonzero(mark == 2)
+    next_ruler = np.empty(rulers.size, dtype=np.intp)
+    gap = np.empty(rulers.size, dtype=np.int64)
+    origin = np.arange(rulers.size)
+    at = values[rulers].astype(np.intp)
+    steps = 1
+    while at.size:
+        stop = mark[at] == 2
+        if stop.any():
+            done = origin[stop]
+            next_ruler[done] = at[stop]
+            gap[done] = steps
+            walking = ~stop
+            origin, at = origin[walking], at[walking]
+        mark[at] = 0
+        at = values[at].astype(np.intp)
+        steps += 1
+    # Rulers and unpassed points are disjoint, so one array renumbers
+    # both; it and the marks are freed before the jumping.
+    free = np.flatnonzero(mark == 1)
+    del mark
+    rank = np.empty(size, dtype=np.uint32)
+    rank[rulers] = np.arange(rulers.size, dtype=np.uint32)
+    rank[free] = np.arange(free.size, dtype=np.uint32)
+    ruler_step, free_step = rank[next_ruler], rank[values[free]]
+    del rank, free
+    ruled = np.zeros(rulers.size, dtype=np.int64)
+    np.add.at(ruled, _cycle_heads(ruler_step), gap)
+    sizes = np.concatenate([ruled, np.bincount(_cycle_heads(free_step))])
     by_length = np.bincount(sizes[sizes > 0])
     lengths = np.flatnonzero(by_length)
     return tuple(zip(lengths.tolist(), by_length[lengths].tolist()))
@@ -450,12 +445,7 @@ def cycle_structure(f, spec: FieldSpec, *, force: bool = False) -> tuple[tuple[i
 
     Raises NotAPermutationError if f does not permute the field.
     """
-    guard_budget(spec, force, "cycle walk")
-    import numpy as np
-    values = _as_values(f, spec)
-    cycle_type = _orbit_cycle_type(values, spec)
-    if cycle_type is not None:
-        return cycle_type
-    if not np.bincount(values, minlength=values.size).all():
+    report = check(f, spec, force=force)
+    if not report.is_permutation:
         raise NotAPermutationError("map is not a bijection")
-    return _cycle_type_of_table(values)
+    return report.cycle_type

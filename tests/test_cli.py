@@ -244,15 +244,11 @@ class TestSearch:
         for e1, e2, e3, perm, *_ in rows:
             assert naive_verdict(spec, int(e1), int(e2), int(e3)) == (perm == "true")
 
-    @pytest.mark.parametrize("head,tile", [(None, None), (4, 5), (None, 3)],
-                             ids=["default", "small", "tiled"])
+    @pytest.mark.parametrize("tile", [None, 5, 3], ids=["default", "small", "tiled"])
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, head, tile):
-        # "small" makes the confirm's head stage pass non-permutations on to
-        # the whole-field stage and confirms in many small tiles; "tiled"
-        # screens each leader in many tiles; both on a pool of two workers
-        if head is not None:
-            monkeypatch.setattr(cli, "CONFIRM_HEAD", head)
+    def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, tile):
+        # "small" confirms in many small tiles; "tiled" screens each leader in
+        # many tiles; both on a pool of two workers
         if tile is not None:
             monkeypatch.setattr(cli, "SCREEN_TILE", tile)
             force_pool(monkeypatch)
@@ -314,8 +310,9 @@ class TestSearch:
     def test_survivor_store_memory(self, monkeypatch, tmp_path):
         # with one sample every triple survives the screen; the survivors are
         # kept one bit per triple, so the peak may exceed the 64-sample run's
-        # by that map and one confirm step's head values, not by a store of
-        # C(254, 3) survivors.  One CPU: the peak does not depend on timing.
+        # by that map and one confirm step's values at 0 and the orbit points,
+        # not by a store of C(254, 3) survivors.  One CPU: the peak does not
+        # depend on timing.
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         default_spec(8).build_tables()
         peaks = {}
@@ -330,8 +327,10 @@ class TestSearch:
         lines = (tmp_path / "s1.csv").read_text().count("\n")
         assert lines == 2 + 254 * 253 * 252 // 6
         bit_map = 254 * 253 * 252 // 6 // 8
-        head = 2 * cli.SCREEN_TILE * cli.CONFIRM_HEAD * 2   # two uint16 blocks
-        assert peaks[1] <= peaks[64] + bit_map + head, peaks
+        # 0 and one point of each of the 35 Frobenius orbits of F_256^*
+        points = 1 + int(np.count_nonzero(coset_leaders(8) == np.arange(255)))
+        confirm = 2 * cli.SCREEN_TILE * points * 2   # two uint16 blocks
+        assert peaks[1] <= peaks[64] + bit_map + confirm, peaks
 
     @pytest.mark.parametrize("seed,digest", [
         (0, "caf8093cdb2cf0435782ebc0feb8e4d1f5acdcb17beda78c91ed4b5203502f93"),
@@ -354,10 +353,16 @@ def e1_block_digest(n, modulus, samples, seed):
     return digest(e1_block_search_csv(FieldSpec(n, modulus), samples, seed))
 
 
+def coset_leaders(n):
+    """lead[e] = min(e * 2^j mod 2^n - 1), the leader of e's cyclotomic coset."""
+    mult = (1 << n) - 1
+    return np.array([min(e * (1 << j) % mult for j in range(n)) for e in range(mult)])
+
+
 def tile_triples(n, tile=cli.SCREEN_TILE):
     """(L, x, y) arrays of the triples (x, y, L) of each tile _orbit_units yields."""
     pairs = None
-    for L, cand, a, b in cli._orbit_units(n, tile):
+    for L, cand, a, b in cli._orbit_units(coset_leaders(n), tile):
         if pairs is None or pairs[0] is not cand:
             pairs = cand, *np.tril_indices(cand.size, -1)
         yield L, cand[pairs[1][a:b]], cand[pairs[2][a:b]]
@@ -372,7 +377,7 @@ class TestFrobeniusOrbits:
         # cosets led by no less, and the tile triples' orbits cover every triple
         mult = (1 << n) - 1
         total = (mult - 1) * (mult - 2) * (mult - 3) // 6
-        lead = np.array([min(e * (1 << j) % mult for j in range(n)) for e in range(mult)])
+        lead = coset_leaders(n)
         covered = np.zeros(total, dtype=bool)
         count = 0
         met = set()

@@ -307,8 +307,9 @@ class TestCycleStructure:
             assert cycle_structure(vt, inst.spec) == expected, inst
             assert check(vt, inst.spec).cycle_type == expected, inst
 
-    # From n = 17 on (4 * RULER_SPACING**3 points) the cycle type comes from
-    # the ruler walk, its weighted contraction and the leftover pass.
+    # Every table off the orbit route, of any size, takes the ruler walk,
+    # its weighted contraction and the leftover pass; the larger seeded
+    # tables below leave both passes real work.
 
     @pytest.mark.parametrize("n", [14, 16, 18, 20])
     def test_seeded_random_permutation_matches_naive_walk(self, n):
