@@ -16,7 +16,8 @@ orbit, since the doubled triple's trinomial is the square of the triple's,
 confirms each survivor by the orbits of its values at 0 and one point per
 orbit of the field, records each survivor's whole orbit in a one-bit-per-
 triple map in CSV order and each permuting orbit in a sorted array of
-ranks, and writes the rows in ascending e1 once every orbit is decided.
+ranks, and once every orbit is decided writes the rows in ascending e1 from
+the integer triples, through one ``"e,"`` text per exponent.
 """
 
 import argparse
@@ -220,8 +221,8 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
 
 def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     """Screen and check every triple e1 > e2 > e3 >= 1 through a cover of its
-    Frobenius orbits, then yield (e1, rows, is_perm) per e1 in ascending order, where
-    rows index the pairs (e2, e3) in ascending (e2, e3) order."""
+    Frobenius orbits, then yield (e1, e2, e3, is_perm) per e1 in ascending order, with
+    arrays over the block's surviving pairs (e2, e3) in ascending order."""
     import numpy as np
     mult = spec.order - 1
     # a triple's rank is C(e1 - 1, 3) + C(e2 - 1, 2) + e3 - 1, so each e1 block is
@@ -265,26 +266,24 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
         lo, hi = np.searchsorted(perms, (start, end))
         is_perm = np.zeros(rows.size, dtype=bool)
         is_perm[np.searchsorted(rows, perms[lo:hi] - start)] = True
-        yield e1, rows, is_perm
+        # row r is the pair with the largest e2 such that C(e2 - 1, 2) <= r
+        e2 = np.searchsorted(c2[2:], rows, side="right") + 1
+        yield e1, e2, rows - c2[e2] + 1, is_perm
 
 
-def _block_text(e1, rows, is_perm, pair_text, tagged):
-    # the CSV rows of one e1 block; tagged lists (pair row, "family,k,m")
+def _block_text(e1, e2, e3, is_perm, num_text, tagged):
+    # the CSV rows of a nonempty run of one e1 block; tagged maps (e2, e3) to a tag
     import numpy as np
-    if not rows.size:
-        return ""
     lead = f"{e1},"
     # each row's verdict and family columns, then the next row's e1 column
     ends = np.array([f"false,,,\n{lead}", f"true,,,\n{lead}"], dtype=object)[
         is_perm.view(np.uint8)]
-    for r, tag in tagged:
-        i = np.searchsorted(rows, r)
-        if i < rows.size and rows[i] == r:
+    for (b, c), tag in tagged.items():
+        for i in np.flatnonzero((e2 == b) & (e3 == c)).tolist():
             ends[i] = f"{'true' if is_perm[i] else 'false'},{tag}\n{lead}"
     ends[-1] = ends[-1][:-len(lead)]
-    parts = np.empty(2 * rows.size, dtype=object)
-    parts[0::2] = pair_text[rows]
-    parts[1::2] = ends
+    parts = np.empty(3 * e2.size, dtype=object)
+    parts[0::3], parts[1::3], parts[2::3] = num_text[e2], num_text[e3], ends
     return lead + "".join(parts.tolist())
 
 
@@ -297,16 +296,16 @@ def _cmd_search(args) -> int:
     if args.n > SEARCH_DEGREE_LIMIT and not args.force:
         raise BudgetExceededError(
             f"full enumeration at n={args.n} exceeds the n <= {SEARCH_DEGREE_LIMIT} budget "
-            f"(n = {SEARCH_DEGREE_LIMIT} takes about 9 s on two cores and each further "
+            f"(n = {SEARCH_DEGREE_LIMIT} takes about 6 s on two cores and each further "
             f"degree at least 8 times as long; no row is written until the whole search "
-            f"ends; n = 11 took about 190 s and 450 MB peak RSS, and n = 12 needs about "
-            f"25 min and 2.3 GB; rerun with --force)")
+            f"ends; n = 11 took about 125 s and 280 MB peak RSS, and n = 12 needs about "
+            f"17 min and 1.7 GB; rerun with --force)")
     spec = _parse_modulus(args.modulus) if args.modulus else default_spec(args.n)
     if spec.n != args.n:
         raise DegreeMismatchError(f"modulus has degree {spec.n}, --n is {args.n}")
     tagged = {}
     for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
-        tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
+        tagged.setdefault(e1, {})[e2, e3] = tag
     spec.build_tables()   # refuses n > 20 before the output file is opened
     try:
         out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
@@ -314,16 +313,17 @@ def _cmd_search(args) -> int:
         raise ValueError(f"cannot write {args.out}: {exc}") from None
     with out as stream:
         blocks = _search_blocks(spec, args.samples, args.seed)
-        # "e2,e3," of every pair row, in ascending (e2, e3) order
-        nums = [f"{e}," for e in range(1, spec.order - 2)]
-        pair_text = np.array([a + b for i, a in enumerate(nums[1:], 1) for b in nums[:i]],
-                             dtype=object)
+        num_text = np.array([f"{e}," for e in range(spec.order - 1)], dtype=object)
         with closing(blocks):
             stream.write(f"# permtri search n={args.n} modulus=0x{spec.modulus:x} "
                          f"seed={args.seed} samples={args.samples}\n"
                          "e1,e2,e3,is_permutation,family,k,m\n")
-            for e1, rows, is_perm in blocks:
-                stream.write(_block_text(e1, rows, is_perm, pair_text, tagged.get(e1, ())))
+            for e1, e2, e3, is_perm in blocks:
+                # in runs of SCREEN_TILE rows, so the text in flight stays small
+                for a in range(0, e2.size, SCREEN_TILE):
+                    b = a + SCREEN_TILE
+                    stream.write(_block_text(e1, e2[a:b], e3[a:b], is_perm[a:b], num_text,
+                                             tagged.get(e1, {})))
     return 0
 
 

@@ -291,8 +291,9 @@ def e1_block_search_csv(spec, samples: int, seed: int) -> str:
     e2 > e3 in ascending order, so an e1 block is a prefix of that pair
     table.  A row of the block, XORed with e1's row, survives when it has no
     repeat on the sample, and each survivor is confirmed on 128 points, then
-    on the whole field.  Rows are tested by ``cli._distinct_rows`` and
-    written by ``cli._block_text``, as before."""
+    on the whole field.  Rows are tested by ``cli._distinct_rows``; each CSV
+    row is its own f-string, with its family tag looked up by the triple in
+    ``cli._family_tags``."""
     import numpy as np
     from permtri import cli
     from permtri.permcheck import sample_points
@@ -304,13 +305,10 @@ def e1_block_search_csv(spec, samples: int, seed: int) -> str:
     cols = pow_[:, sample_points(spec, samples, seed)]
     i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
     pair = cols[i2] ^ cols[i3]
-    pair_text = np.array([f"{e2 + 1},{e3 + 1}," for e2, e3 in zip(i2, i3)], dtype=object)
-    tagged = {}
-    for (e1, e2, e3), tag in cli._family_tags(spec.n, spec).items():
-        tagged.setdefault(e1, []).append(((e2 - 1) * (e2 - 2) // 2 + e3 - 1, tag))
-    text = [f"# permtri search n={spec.n} modulus=0x{spec.modulus:x} "
-            f"seed={seed} samples={samples}\n"
-            "e1,e2,e3,is_permutation,family,k,m\n"]
+    tags = cli._family_tags(spec.n, spec)
+    lines = [f"# permtri search n={spec.n} modulus=0x{spec.modulus:x} "
+             f"seed={seed} samples={samples}",
+             "e1,e2,e3,is_permutation,family,k,m"]
     for e1 in range(3, mult):
         size = (e1 - 1) * (e1 - 2) // 2
         rows = np.flatnonzero(cli._distinct_rows(pair[:size] ^ cols[e1 - 1]))
@@ -318,9 +316,12 @@ def e1_block_search_csv(spec, samples: int, seed: int) -> str:
         for table in (pow_[:, :128], pow_):
             perms = perms[cli._distinct_rows(table[i2[perms]] ^ table[i3[perms]]
                                              ^ table[e1 - 1])]
-        text.append(cli._block_text(e1, rows, np.isin(rows, perms), pair_text,
-                                    tagged.get(e1, ())))
-    return "".join(text)
+        # pair row r is (e2, e3) = (i2[r] + 1, i3[r] + 1)
+        for e2, e3, perm in zip((i2[rows] + 1).tolist(), (i3[rows] + 1).tolist(),
+                                np.isin(rows, perms).tolist()):
+            tag = tags.get((e1, e2, e3), ",,")
+            lines.append(f"{e1},{e2},{e3},{str(perm).lower()},{tag}")
+    return "\n".join(lines) + "\n"
 
 
 def frobenius_orbit_representatives(n: int) -> set:

@@ -193,8 +193,10 @@ class TestSearch:
         assert rc == 2 and "degree 8" in err and out == ""
 
     def test_force_above_table_limit_exits_2_before_allocating(self, src_env):
-        # the pair texts alone would be about 2.2e12 strings at n = 21; under a
-        # 2 GiB address-space limit building them first ends in MemoryError
+        # build_tables refuses n > 20 before the output file is opened and
+        # before any per-exponent array is built; under a 2 GiB address-space
+        # limit a search set up first ends in MemoryError (its bit map alone
+        # would be about 1.9e17 bytes at n = 21)
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
         proc = subprocess.run([sys.executable, "-m", "permtri.cli", "search", "--n", "21",
