@@ -241,7 +241,12 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
         for _ in range(spec.n):
             e1, e3 = np.maximum(np.maximum(a, b), c), np.minimum(np.minimum(a, b), c)
             rank = c3[e1] + c2[a + b + c - e1 - e3] + e3 - 1
-            np.bitwise_or.at(found, rank >> 3, np.left_shift(1, rank & 7).astype(np.uint8))
+            byte, bit = rank >> 3, np.left_shift(1, rank & 7).astype(np.uint8)
+            # of the writers to one byte the last wins, keeping the byte's earlier
+            # bits; the bits of the others are ORed in again, unbuffered
+            found[byte] |= bit
+            lost = (found[byte] & bit) == 0
+            np.bitwise_or.at(found, byte[lost], bit[lost])
             perms.append(rank[is_perm])
             a, b, c = a * 2 % mult, b * 2 % mult, c * 2 % mult
         held.clear()

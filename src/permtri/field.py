@@ -203,6 +203,25 @@ def _byte_tables(images: list[int]) -> tuple:
     return tuple(tables)
 
 
+def _span_tables(spec: "FieldSpec", exponents, bits: int):
+    """(low, high): numpy uint32 tables of x -> the sum of x^e over
+    ``exponents``, all powers of two, so x maps to low[x mod 2^bits] ^
+    high[x >> bits].  The map is GF(2)-linear; each table is filled in place
+    by doubling, entry y + 2^i being entry y XOR the image of X^i."""
+    import numpy as np
+    images = [0] * spec.n
+    for e in exponents:
+        for i in range(spec.n):
+            images[i] ^= spec.frobenius(1 << i, e.bit_length() - 1)
+    tables = []
+    for part in images[:bits], images[bits:]:
+        table = np.zeros(1 << len(part), dtype=np.uint32)
+        for i, image in enumerate(part):
+            np.bitwise_xor(table[:1 << i], image, out=table[1 << i:2 << i])
+        tables.append(table)
+    return tuple(tables)
+
+
 def _apply(tables, x: int) -> int:
     r = 0
     for t in tables:

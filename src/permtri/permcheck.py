@@ -20,13 +20,14 @@ For each leader l, f(g^l) = g^j must be nonzero, and the least rotation of
 j, rotr(j, u), is the leader l' of the image orbit.  f permutes the orbits
 exactly when the l' are the leaders in some order, which one argsort
 shows.  Only then is the commutation tested, on every point, squaring by
-two lookups as it is GF(2)-linear.  If it holds, f sends the point at
-place t of orbit l, g^(rotl(l, t)), to place t + u of orbit l'.  Pointer
-jumping groups the orbits into the cycles of this orbit map.  A cycle of
-L orbits of size s whose shifts u sum to U brings each of its points back
-to its own orbit U places on, so it splits into gcd(U mod s, s) cycles of
-f of length L s / gcd(U mod s, s).  With the 1-cycle at 0 these give the
-cycle type, and its 1-cycles are the fixed points.
+two lookups into the span tables of ``field._span_tables``, as it is
+GF(2)-linear.  If it holds, f sends the point at place t of orbit l,
+g^(rotl(l, t)), to place t + u of orbit l'.  Pointer jumping groups the
+orbits into the cycles of this orbit map.  A cycle of L orbits of size s
+whose shifts u sum to U brings each of its points back to its own orbit U
+places on, so it splits into gcd(U mod s, s) cycles of f of length
+L s / gcd(U mod s, s).  With the 1-cycle at 0 these give the cycle type,
+and its 1-cycles are the fixed points.
 
 Every other table takes the exhaustive route.  A map that commutes with
 squaring but does not permute pays for the leaders' images and their
@@ -56,7 +57,7 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec
+from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, _span_tables
 
 CHECK_DEGREE_LIMIT = 28
 RULER_SPACING = 32   # about one point in this many starts a cycle walker
@@ -273,36 +274,25 @@ def _orbit_cycle_type(values, spec: FieldSpec):
 
 def _commutes_with_squaring(values, spec: FieldSpec) -> bool:
     # f(x^2) = f(x)^2 on every x, ORBIT_CHUNK points at a time.  Squaring is
-    # GF(2)-linear: x^2 is the XOR of (X^i)^2 over the set bits i of x, so
-    # x^2 = low[x mod c] ^ high[x // c] for the chunk size c and two tables
-    # spanned by the squares of the basis, read from the log tables.
+    # GF(2)-linear, so x^2 = low[x mod c] ^ high[x // c] for the chunk size c
+    # and the span tables of ``field._span_tables``.  Every index is in
+    # range, so "clip" never acts; it lets take() write straight into out.
     import numpy as np
-    exp_np, log_np = spec.exp_log_arrays()
     bits = min(spec.n, ORBIT_CHUNK.bit_length() - 1)
-    basis = exp_np[2 * log_np[1 << np.arange(spec.n)].astype(np.int64) % exp_np.size]
-    low, high = _xor_span(basis[:bits]), _xor_span(basis[bits:])
+    low, high = _span_tables(spec, [2], bits)
     index = np.empty(low.size, dtype=np.intp)
     image, square, part = (np.empty(low.size, dtype=np.uint32) for _ in range(3))
     for lo in range(0, values.size, low.size):
         np.bitwise_xor(low, high[lo >> bits], out=index)
-        np.take(values, index, out=image)
+        np.take(values, index, out=image, mode="clip")
         chunk = values[lo:lo + low.size]
         np.bitwise_and(chunk, low.size - 1, out=index)
-        np.take(low, index, out=square)
+        np.take(low, index, out=square, mode="clip")
         np.right_shift(chunk, bits, out=index)
-        square ^= np.take(high, index, out=part)
+        square ^= np.take(high, index, out=part, mode="clip")
         if not np.array_equal(image, square):
             return False
     return True
-
-
-def _xor_span(images):
-    # the XOR of images[i] over the set bits i of y, for every y < 2^len(images)
-    import numpy as np
-    table = np.zeros(1, dtype=np.uint32)
-    for image in images:
-        table = np.concatenate([table, table ^ image])
-    return table
 
 
 @functools.lru_cache(maxsize=TABLE_DEGREE_LIMIT)

@@ -194,22 +194,27 @@ class TestValueTableKernel:
     @pytest.mark.parametrize("n", [3, 16, 17, 20])
     def test_edge_triples_match_scalar_kernel(self, n):
         # repeated x^1 terms, e = 2^n - 1 (x^e = 1 for x != 0, the largest
-        # log-sum) and an exponent that reduces from a multiple of 2^n - 1
+        # log-sum), an exponent that reduces from a multiple of 2^n - 1, a
+        # triple of powers of two only, and (m + 2, 2^(n-1), 1), which reduces
+        # to squaring plus the square root plus x
         spec = default_spec(n)
         m = spec.order - 1
-        for triple in [(1, 1, 1), (2, 1, 1), (m, 1, 1), (2 * m, 3, 5)]:
+        for triple in [(1, 1, 1), (2, 1, 1), (m, 1, 1), (2 * m, 3, 5), (4, 2, 1),
+                       (m + 2, 1 << (n - 1), 1)]:
             inst = FamilyInstance(FamilyId.F1, FamilyParams(k=1), spec, triple)
             table = value_table(inst)
             assert table[0] == 0
             assert table.tolist() == [trinomial_bits(spec, triple, x)
                                       for x in range(spec.order)], (n, triple)
 
-    @pytest.mark.parametrize("triple", ["family", (5, 3, 2)])
+    @pytest.mark.parametrize("triple", ["family", (5, 3, 2), "F6"])
     def test_n20_allocates_no_field_sized_temporaries(self, triple):
         # with the tables built, the traced peak of one call is the 4 MiB
-        # output plus the chunk buffers, which stay below 1 MiB
-        inst = next(inst for inst in enumerate_instances(20) if inst.n == 20)
-        if triple != "family":
+        # output plus the chunk buffers and span tables, which stay below
+        # 1 MiB; F6's x^(2^2m) term goes through the span tables
+        families = [FamilyId.F6] if triple == "F6" else list(FamilyId)
+        inst = next(inst for inst in enumerate_instances(20, families) if inst.n == 20)
+        if isinstance(triple, tuple):
             inst = FamilyInstance(inst.family, inst.params, inst.spec, triple)
         inst.spec.build_tables()
         tracemalloc.start()

@@ -389,12 +389,17 @@ class TestOrbitRoute:
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == \
             "d13dbc70f05874d1b71f9a1291804ec252ec02583e2573ced49d843d3fa77e80"
 
-    @pytest.mark.parametrize("n", [9, 17])
-    def test_swapped_family_table_falls_back(self, n):
+    @pytest.mark.parametrize("n, swap", [
+        pytest.param(9, [1, 2], id="9"),
+        pytest.param(17, [1, 2], id="17"),
+        # the last two points, in the fourth ORBIT_CHUNK
+        pytest.param(17, [-2, -1], id="17-last"),
+    ])
+    def test_swapped_family_table_falls_back(self, n, swap):
         # Still a permutation, but no longer commuting with squaring.
         inst = next(inst for inst in enumerate_instances(n) if inst.n == n)
         vt = value_table(inst).copy()
-        vt[[1, 2]] = vt[[2, 1]]
+        vt[swap] = vt[swap[::-1]]
         assert not permcheck._commutes_with_squaring(vt, inst.spec)
         assert permcheck._orbit_cycle_type(vt, inst.spec) is None
         expected = naive_cycle_type(vt.tolist())
