@@ -3,8 +3,8 @@
 Exit codes: 0 success (for ``verify``: the map permutes), 1 checked but not
 a permutation, 2 parameter or hypothesis errors (also ``search --force``
 above the log-table limit, and a ``search --out`` path that cannot be
-written), 3 budget guard tripped (override with --force), 4 inversion
-produced no valid candidate.
+written), 3 budget guard tripped (--force overrides all but a search bit map
+over physical memory), 4 inversion produced no valid candidate.
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
 order and the search CSV is byte-identical for a fixed seed.  ``verify``
@@ -22,6 +22,7 @@ the integer triples, through one ``"e,"`` text per exponent.
 
 import argparse
 import json
+import math
 import os
 import sys
 import threading
@@ -219,6 +220,11 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
         pool.shutdown(cancel_futures=True)
 
 
+def _map_bytes(n: int) -> int:
+    # bytes of the search's one-bit-per-triple map: C(2^n - 2, 3) triples
+    return (math.comb((1 << n) - 2, 3) + 7) // 8
+
+
 def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     """Screen and check every triple e1 > e2 > e3 >= 1 through a cover of its
     Frobenius orbits, then yield (e1, e2, e3, is_perm) per e1 in ascending order, with
@@ -230,7 +236,7 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
     e = np.arange(mult, dtype=np.int64)
     c3, c2 = (e - 1) * (e - 2) * (e - 3) // 6, (e - 1) * (e - 2) // 2
     # one bit per surviving triple, and the ranks of the permuting ones
-    found = np.zeros((int(c3[-1] + c2[-1]) + 7) // 8, np.uint8)
+    found = np.zeros(_map_bytes(spec.n), np.uint8)
     perms, held, count = [np.zeros(0, np.int64)], [], 0
 
     def mark():
@@ -312,6 +318,10 @@ def _cmd_search(args) -> int:
     for (e1, e2, e3), tag in _family_tags(args.n, spec).items():
         tagged.setdefault(e1, {})[e2, e3] = tag
     spec.build_tables()   # refuses n > 20 before the output file is opened
+    need, memory = _map_bytes(args.n), os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise BudgetExceededError(f"search at n={args.n} needs a {need / 2**30:,.1f} GiB bit map, "
+                                  f"over the {memory / 2**30:,.1f} GiB budget of physical memory")
     try:
         out = open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout)
     except OSError as exc:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, _span_tables, default_spec
 
-VALUE_CHUNK = 1 << 15    # points per step of value_table's pass: its buffers stay in cache
-
 
 class ConditionViolatedError(Exception):
     """Family hypothesis violated; the message names the broken condition."""
@@ -228,10 +226,10 @@ def value_table(inst: FamilyInstance):
     """f over the whole field as a numpy uint32 array indexed by x.bits.
 
     For n <= TABLE_DEGREE_LIMIT, one pass runs over x in aligned chunks of
-    VALUE_CHUNK points through cache-sized buffers.  The terms x^e with e a
-    power of two, x among them, sum to a GF(2)-linear map: over a chunk it is
-    low ^ high[chunk], the span tables of ``field._span_tables``.  Every other
-    x^e is exp[e * log x mod m], m = 2^n - 1, for x != 0.  As 2^n = 1 (mod m),
+    ``field.SPAN_CHUNK`` points through cache-sized buffers.  The terms x^e,
+    e a power of two, x among them, sum to a GF(2)-linear map: over a chunk
+    it is low ^ high[chunk], from ``field._span_tables``.  Every other x^e
+    is exp[e * log x mod m], m = 2^n - 1, for x != 0.  As 2^n = 1 (mod m),
     a = e * log x folds to (a & m) + (a >> n), below 2m for a reduced e <= m:
     it indexes the doubled antilog buffer of ``build_tables`` with no modulo.
     Above the limit the scalar kernel runs one element at a time.
@@ -244,14 +242,13 @@ def value_table(inst: FamilyInstance):
                            dtype=np.uint32, count=spec.order)
     exp_np, log_np = spec.exp_log_arrays()
     exp2, m = exp_np.base, exp_np.size     # exp_np is the first half of the doubled buffer
-    bits = min(spec.n, VALUE_CHUNK.bit_length() - 1)
     # reduced exponents lie in [1, m], so e & (e - 1) is 0 exactly for powers of two
-    low, high = _span_tables(spec, [e for e in reduced if not e & (e - 1)], bits)
+    low, high = _span_tables(spec, [e for e in reduced if not e & (e - 1)])
     others = [e for e in reduced if e & (e - 1)]
     out = np.empty(spec.order, dtype=np.uint32)
     a, fold, vals = (np.empty(low.size, t) for t in (np.intp, np.intp, np.uint32))
     for lo in range(0, spec.order, low.size):
-        np.bitwise_xor(low, high[lo >> bits], out=out[lo:lo + low.size])
+        np.bitwise_xor(low, high[lo // low.size], out=out[lo:lo + low.size])
         start = max(lo, 1)      # x = 0 has no log, and every term is 0 there
         c = lo + low.size - start
         for e in others:

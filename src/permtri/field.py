@@ -18,8 +18,8 @@ Three routes give the same values bit for bit:
   of its argument.  Frobenius powers and squarings are ceil(n/8) lookups,
   ``mul`` is a 4-bit windowed comb whose high half is reduced by such a
   table, ``pow`` is a Frobenius chain (x^e as a product of Frobenius
-  images of x^(2^L - 1), one per run of ones in e, or a chain with stride
-  k when the ones of e are s, s + k, s + 2k, ... mod n; see
+  images of x^(1 + 2^k + ... + 2^((L-1)k)), one per run s, s + k, ... of
+  ones in e, for the stride k with the shortest program; see
   ``_frobenius_chain``) and ``inv`` is the extended Euclid algorithm on
   the polynomials;
 * ``mul_baseline``, portable shift-and-XOR: the reference for both.
@@ -30,7 +30,6 @@ polynomial with the smallest integer encoding.  Degree 8 is the familiar
 """
 
 import functools
-import math
 import threading
 from array import array
 
@@ -143,52 +142,42 @@ def _stride_chain(steps: list, stride: int, n: int):
 def _frobenius_chain(e: int, n: int) -> tuple:
     """A straight-line program for x^e in F_{2^n}, 0 < e < 2^n - 1.
 
-    Bits are read cyclically, since x^(2^n) = x.  The runs program splits
-    e into its runs of ones: a run (s, L) of L ones from bit s is the s-th
-    Frobenius image of P_L = x^(2^L - 1).  Each distinct P_L is built once
-    by the Itoh-Tsujii chain P_2l = P_l^(2^l) P_l, P_(l+1) = P_l^2 x, and
-    the runs are joined from the highest offset down, Horner-fashion.  If
-    the t ones of e are instead one progression s, s + k, ..., s + (t-1)k
-    mod n, as in F6's d and in 1/(2^k - 1), the stride program builds the
-    same chain with stride k, Q_2l = Q_l^(2^(lk)) Q_l, Q_(l+1) = Q_l^(2^k) x,
-    and x^e is Q_t to the 2^s.  The shorter program is kept, the runs
-    program on a tie.  Returns (steps, shift): registers start as [x],
-    step (i, j, k) appends regs[i]^(2^j) * regs[k], and x^e is the last
-    register to the 2^shift.
+    Bits are read cyclically, since x^(2^n) = x.  For each stride k the
+    ones of e split into maximal runs s, s + k, ..., s + (L-1)k mod n, each
+    starting at a one whose stride-k predecessor is zero.  Such a run is the
+    s-th Frobenius image of Q_L = x^(1 + 2^k + ... + 2^((L-1)k)); each Q_L is
+    built once by ``_stride_chain`` (for k = 1, the Itoh-Tsujii chain), and
+    the runs are joined Horner-fashion from the highest offset down.  The
+    shortest program is kept, the least k on a tie.  Returns (steps, shift):
+    registers start as [x], step (i, j, k) appends regs[i]^(2^j) * regs[k],
+    and x^e is the last register to the 2^shift.
     """
-    mask = (1 << n) - 1
-    z = next(i for i in range(n) if not e >> i & 1)     # a zero bit exists: e < 2^n - 1
-    s = (z + 1) % n
-    rot = ((e >> s) | (e << (n - s))) & mask            # bit n-1 is the zero bit z
-    runs = []
-    while rot:
-        low = (rot & -rot).bit_length() - 1
-        rot >>= low
-        length = (~rot & (rot + 1)).bit_length() - 1
-        runs.append(((s + low) % n, length))
-        rot >>= length
-        s += low + length
-    runs.sort(reverse=True)           # highest offset first
-    steps = []
-    chain = _stride_chain(steps, 1, n)
-    acc = chain(runs[0][1])
-    for (above, _), (offset, length) in zip(runs, runs[1:]):
-        k = chain(length)
-        steps.append((acc, above - offset, k))
-        acc = len(steps)
-    t = e.bit_count()
-    # a stride program takes t.bit_length() + t.bit_count() - 2 steps: look for
-    # one only where that is shorter (never for one run, the k = 1 program)
-    if len(steps) > t.bit_length() + t.bit_count() - 2:
-        for k in range(2, n):
-            # e rotated by k shares t - 1 ones with e iff its ones form one
-            # stride-k progression; t*gcd(k, n) < n rules out a whole orbit
-            after = ((e << k) | (e >> (n - k))) & mask
-            if (e & after).bit_count() == t - 1 and t * math.gcd(k, n) < n:
-                stride_steps = []
-                _stride_chain(stride_steps, k, n)(t)
-                return tuple(stride_steps), (e & ~after).bit_length() - 1
-    return tuple(steps), runs[-1][0]
+    t, best = e.bit_count(), None
+    for k in range(1, n):
+        starts = e & ~(e << k | e >> (n - k))      # ones whose stride-k predecessor is zero
+        r = starts.bit_count()
+        # r - 1 joins, and a chain for a run of at least ceil(t/r) ones
+        if not r or best and r - 2 + (-(-t // r)).bit_length() >= len(best[0]):
+            continue
+        runs = []
+        while starts:                   # highest offset first
+            s = starts.bit_length() - 1
+            starts ^= 1 << s
+            length = 1
+            while e >> (s + length * k) % n & 1:
+                length += 1
+            runs.append((s, length))
+        if sum(length for _, length in runs) < t:     # a whole orbit of ones is left
+            continue
+        steps = []
+        chain = _stride_chain(steps, k, n)
+        acc = chain(runs[0][1])
+        for (above, _), (offset, length) in zip(runs, runs[1:]):
+            steps.append((acc, above - offset, chain(length)))
+            acc = len(steps)
+        if not best or len(steps) < len(best[0]):
+            best = tuple(steps), runs[-1][0]
+    return best
 
 
 def _byte_tables(images: list[int]) -> tuple:
@@ -203,12 +192,16 @@ def _byte_tables(images: list[int]) -> tuple:
     return tuple(tables)
 
 
-def _span_tables(spec: "FieldSpec", exponents, bits: int):
+SPAN_CHUNK = 1 << 15    # points per step of the numpy passes over x: their buffers stay in cache
+
+
+def _span_tables(spec: "FieldSpec", exponents):
     """(low, high): numpy uint32 tables of x -> the sum of x^e over
-    ``exponents``, all powers of two, so x maps to low[x mod 2^bits] ^
-    high[x >> bits].  The map is GF(2)-linear; each table is filled in place
-    by doubling, entry y + 2^i being entry y XOR the image of X^i."""
+    ``exponents``, all powers of two: x maps to low[x % c] ^ high[x // c],
+    c = low.size = min(2^n, SPAN_CHUNK).  The map is GF(2)-linear; each table
+    is filled in place by doubling, entry y + 2^i = entry y ^ image of X^i."""
     import numpy as np
+    bits = min(spec.n, SPAN_CHUNK.bit_length() - 1)
     images = [0] * spec.n
     for e in exponents:
         for i in range(spec.n):

@@ -57,11 +57,10 @@ import functools
 import random
 from dataclasses import dataclass
 
-from .field import TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, _span_tables
+from .field import SPAN_CHUNK, TABLE_DEGREE_LIMIT, FieldElement, FieldSpec, _span_tables
 
 CHECK_DEGREE_LIMIT = 28
 RULER_SPACING = 32   # about one point in this many starts a cycle walker
-ORBIT_CHUNK = 1 << 15    # points per step of the orbit route's passes
 
 
 class BudgetExceededError(Exception):
@@ -273,13 +272,13 @@ def _orbit_cycle_type(values, spec: FieldSpec):
 
 
 def _commutes_with_squaring(values, spec: FieldSpec) -> bool:
-    # f(x^2) = f(x)^2 on every x, ORBIT_CHUNK points at a time.  Squaring is
-    # GF(2)-linear, so x^2 = low[x mod c] ^ high[x // c] for the chunk size c
-    # and the span tables of ``field._span_tables``.  Every index is in
+    # f(x^2) = f(x)^2 on every x, one chunk of the span tables' size c at a
+    # time.  Squaring is GF(2)-linear, so x^2 = low[x mod c] ^ high[x // c]
+    # for the span tables of ``field._span_tables``.  Every index is in
     # range, so "clip" never acts; it lets take() write straight into out.
     import numpy as np
-    bits = min(spec.n, ORBIT_CHUNK.bit_length() - 1)
-    low, high = _span_tables(spec, [2], bits)
+    low, high = _span_tables(spec, [2])
+    bits = low.size.bit_length() - 1
     index = np.empty(low.size, dtype=np.intp)
     image, square, part = (np.empty(low.size, dtype=np.uint32) for _ in range(3))
     for lo in range(0, values.size, low.size):
@@ -304,8 +303,8 @@ def _orbit_leaders(n: int):
     import numpy as np
     m = (1 << n) - 1
     parts = []
-    for lo in range(0, m, ORBIT_CHUNK):
-        lead = np.arange(lo, min(lo + ORBIT_CHUNK, m), dtype=np.uint32)
+    for lo in range(0, m, SPAN_CHUNK):
+        lead = np.arange(lo, min(lo + SPAN_CHUNK, m), dtype=np.uint32)
         turned = lead
         for _ in range(n - 1):
             turned = ((turned << 1) & m) | (turned >> (n - 1))

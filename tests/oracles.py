@@ -385,6 +385,22 @@ def runs_only_chain(e: int, n: int) -> tuple:
     return tuple(steps), runs[-1][0]
 
 
+def two_program_length(e: int, n: int) -> int:
+    """The length of the program ``field._frobenius_chain`` emitted when it
+    kept two: the runs program of ``runs_only_chain``, or, if shorter, a
+    chain of t.bit_length() + t.bit_count() - 2 steps with stride k when the
+    t ones of e are one stride-k progression with t * gcd(k, n) < n."""
+    import math
+
+    mask, t = (1 << n) - 1, e.bit_count()
+    length = len(runs_only_chain(e, n)[0])
+    for k in range(2, n):
+        after = ((e << k) | (e >> (n - k))) & mask
+        if (e & after).bit_count() == t - 1 and t * math.gcd(k, n) < n:
+            return min(length, t.bit_length() + t.bit_count() - 2)
+    return length
+
+
 def solve_based_f6_invert(inst, a: int):
     """``invert`` for an F6 instance by the inverter's former route: every
     solution z of c1 z^(2^k) + c0 z = A from ``solve_affine`` (z = 1

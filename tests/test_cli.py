@@ -205,6 +205,29 @@ class TestSearch:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "log tables limited to n <= 20" in proc.stderr
 
+    def test_force_beyond_physical_memory_exits_3_before_output(self, src_env, tmp_path):
+        # the bit map at n = 17 would be about 43,700 GiB: refused under the
+        # budget message, naming both sizes, before --out is opened
+        out = tmp_path / "rows.csv"
+        proc = subprocess.run([sys.executable, "-m", "permtri.cli", "search", "--n", "17",
+                               "--force", "--out", str(out)], env=src_env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "budget" in proc.stderr and "43,687.7 GiB bit map" in proc.stderr
+        assert "GiB budget of physical memory" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
+
+    def test_force_n12_passes_the_memory_guard(self, capsys, monkeypatch, tmp_path):
+        # a 1.33 GiB bit map fits: the search starts (here with no blocks)
+        def no_blocks(*args):
+            yield from ()
+        monkeypatch.setattr(cli, "_search_blocks", no_blocks)
+        out = tmp_path / "rows.csv"
+        rc, _, err = run(capsys, "search", "--n", "12", "--force", "--out", str(out))
+        assert rc == 0 and err == ""
+        assert out.read_text().startswith("# permtri search n=12 ")
+
     def test_budget_guard_n11(self, capsys):
         rc, out, err = run(capsys, "search", "--n", "11")
         assert rc == 3 and "budget" in err and out == ""

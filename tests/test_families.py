@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from permtri.families import (
-    VALUE_CHUNK,
     ConditionViolatedError,
     DegreeMismatchError,
     FamilyId,
@@ -24,7 +23,7 @@ from permtri.families import (
     value_table,
 )
 from permtri import families
-from permtri.field import FieldSpec, default_spec, irreducibles
+from permtri.field import SPAN_CHUNK, FieldSpec, default_spec, irreducibles
 from oracles import every_k_params, naive_pow, remainder_value_table
 
 
@@ -180,9 +179,9 @@ class TestValueTableKernel:
     def test_equals_remainder_kernel_on_every_instance(self):
         # every instance with n <= 20, under the default modulus and the
         # second irreducible one (none at n = 2): same dtype, same bytes.
-        # x runs over [1, 2^n) in steps of VALUE_CHUNK, so n = 20 crosses
+        # x runs over [1, 2^n) in steps of SPAN_CHUNK, so n = 20 crosses
         # chunk seams and ends on a short chunk
-        assert ((1 << 20) - 1) // VALUE_CHUNK > 1 and ((1 << 20) - 1) % VALUE_CHUNK
+        assert ((1 << 20) - 1) // SPAN_CHUNK > 1 and ((1 << 20) - 1) % SPAN_CHUNK
         for inst in enumerate_instances(20):
             for modulus in itertools.islice(irreducibles(inst.n), 2):
                 alt = instantiate(inst.family, inst.params, FieldSpec(inst.n, modulus))

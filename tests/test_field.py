@@ -38,6 +38,7 @@ from oracles import (
     schoolbook_mulmod,
     square_multiply_pow,
     trial_division_irreducible,
+    two_program_length,
 )
 
 F8 = default_spec(3)
@@ -175,12 +176,13 @@ class TestByteSlicedRoute:
         pytest.param(n, which, id=f"{n}-{which}")
         for n in range(21, 33) for which in ("default", "second")])
     def test_pow_on_structured_exponents(self, n, which):
-        # pow splits the reduced exponent into runs of ones, read cyclically:
-        # every run at every offset (those with offset + length > n wrap past
-        # bit n-1 once reduced), wrapped runs next to another run, the edge
-        # exponents, and every family instance's exponents at this n; and
-        # seeded stride-k progressions of t ones from bit s, which take the
-        # stride program where it is shorter, and patterns it must not take
+        # pow splits the reduced exponent into stride-k runs of ones, read
+        # cyclically: every run at every offset (those with offset + length
+        # > n wrap past bit n-1 once reduced), wrapped runs next to another
+        # run, the edge exponents, and every family instance's exponents at
+        # this n; seeded stride-k progressions of t ones from bit s, and two
+        # interleaved ones, which take a stride-k program with a join; and
+        # whole orbits of ones, which no stride-k run can cover
         from permtri.families import enumerate_instances, instantiate
 
         modulus = next(itertools.islice(irreducibles(n), 0 if which == "default" else 1, None))
@@ -198,8 +200,13 @@ class TestByteSlicedRoute:
             for i in range(t):
                 e |= 1 << (s + i * k) % n
             exponents.append(e)
-        # a whole orbit of the shift by k, gcd(k, n) = g > 1, beside one more
-        # one: it shares t - 1 ones with its shift, yet is no progression
+        for _ in range(40):
+            k, e = rng.randrange(2, n), 0
+            for s, t in [(rng.randrange(n), rng.randrange(2, n // 2)) for _ in range(2)]:
+                for i in range(t):
+                    e |= 1 << (s + i * k) % n
+            exponents.append(e)
+        # a whole orbit of the shift by g | n, g > 1, beside one more one
         exponents += [sum(1 << j for j in range(0, n, g)) | 2
                       for g in range(2, n) if n % g == 0]
         for inst in enumerate_instances(n):
@@ -245,6 +252,41 @@ class TestByteSlicedRoute:
         assert len(seen) > 30
         for e, n in seen:
             assert len(chain(e, n)[0]) <= len(runs_only_chain(e, n)[0]), (e, n)
+
+    def test_every_narrow_program_is_no_longer_and_exact(self):
+        # every 0 < e < 2^n - 1 for n = 2..14: the program is never longer
+        # than the former choice between the runs program and one stride-k
+        # progression, and it evaluates to g^e on the log route
+        for n in range(2, 15):
+            spec = FieldSpec(n)
+            spec.build_tables()
+            g = spec.generator()
+            for e in range(1, spec.order - 1):
+                steps, shift = _frobenius_chain.__wrapped__(e, n)
+                assert len(steps) <= two_program_length(e, n), (e, n)
+                regs = [g]
+                for i, j, k in steps:
+                    regs.append(spec.mul(spec.frobenius(regs[i], j), regs[k]))
+                assert spec.frobenius(regs[-1], shift) == spec.pow(g, e), (e, n)
+
+    def test_bound_skips_strides_that_cannot_be_shorter(self, monkeypatch):
+        # one run of L = 2^j ones takes j steps at stride 1, and r runs of t
+        # ones at any stride need at least r - 1 + j joins and doublings, so
+        # the chain of no other stride is built
+        built = []
+        stride_chain = field._stride_chain
+
+        def recording(steps, stride, n):
+            built.append(stride)
+            return stride_chain(steps, stride, n)
+        monkeypatch.setattr(field, "_stride_chain", recording)
+        for n in (2, 7, 21, 32):
+            for length in (1, 2, 4, 8, 16):
+                for s in range(n if length < n else 0):
+                    e = ((1 << length) - 1) << s
+                    built.clear()
+                    _frobenius_chain.__wrapped__((e | e >> n) & ((1 << n) - 1), n)
+                    assert built == [1], (e, n)
 
     @pytest.mark.parametrize("n", range(21, 33))
     def test_frobenius_tables_composed_in_descending_order(self, n):
@@ -615,11 +657,31 @@ class TestSpecAndElements:
         assert spec._exp is None and spec._log is None
 
 
+def library_modules():
+    """(path, AST) of every module of src/permtri."""
+    src = Path(__file__).resolve().parents[1] / "src" / "permtri"
+    return [(path, ast.parse(path.read_text())) for path in sorted(src.glob("*.py"))]
+
+
 def test_no_assert_statements_in_library():
     # invariants must raise: python -O strips assert statements
-    src = Path(__file__).resolve().parents[1] / "src" / "permtri"
     found = [f"{path.name}:{node.lineno}"
-             for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+             for path, tree in library_modules()
+             for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports_in_library():
+    # every module-level import outside __init__.py (whose imports are the
+    # package's exports) is referenced somewhere in its module
+    found = []
+    for path, tree in library_modules():
+        if path.name == "__init__.py":
+            continue
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [f"{path.name}:{node.lineno}:{alias.name}" for alias in node.names
+                          if (alias.asname or alias.name.split(".")[0]) not in used]
     assert found == []

@@ -392,7 +392,7 @@ class TestOrbitRoute:
     @pytest.mark.parametrize("n, swap", [
         pytest.param(9, [1, 2], id="9"),
         pytest.param(17, [1, 2], id="17"),
-        # the last two points, in the fourth ORBIT_CHUNK
+        # the last two points, in the fourth SPAN_CHUNK
         pytest.param(17, [-2, -1], id="17-last"),
     ])
     def test_swapped_family_table_falls_back(self, n, swap):
