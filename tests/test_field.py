@@ -270,9 +270,9 @@ class TestByteSlicedRoute:
                 assert spec.frobenius(regs[-1], shift) == spec.pow(g, e), (e, n)
 
     def test_bound_skips_strides_that_cannot_be_shorter(self, monkeypatch):
-        # one run of L = 2^j ones takes j steps at stride 1, and r runs of t
-        # ones at any stride need at least r - 1 + j joins and doublings, so
-        # the chain of no other stride is built
+        # one run of L = 2^j ones takes j steps at stride 1, and any stride
+        # with r runs of its L ones has the bound r - 1 + bit_length(ceil(L/r))
+        # - 1 >= j, so the chain of no other stride is built
         built = []
         stride_chain = field._stride_chain
 
