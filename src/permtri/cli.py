@@ -4,11 +4,12 @@ Exit codes: 0 success (for ``verify``: the map permutes), 1 checked but not
 a permutation, 2 parameter or hypothesis errors (also ``search --force``
 above the log-table limit, and a ``search --out`` path that cannot be
 written), 3 budget guard tripped (--force overrides all but a search bit map
-over physical memory), 4 inversion produced no valid candidate.
+over physical memory), 4 inversion produced no valid candidate, 141 stdout
+closed by its reader (128 + SIGPIPE).
 
 All verdict-bearing output is deterministic: JSON objects have fixed key
 order and the search CSV is byte-identical for a fixed seed.  ``verify``
-runs on one thread; ``search`` screens its tiles on one worker thread per
+runs on one thread; ``search`` screens its blocks on one worker thread per
 CPU in the process's affinity set, and its output is the same on any
 number of CPUs.  The ``--threads`` flag of both is accepted and ignored.
 ``search`` screens and confirms a set of triples that meets every Frobenius
@@ -25,9 +26,8 @@ import json
 import math
 import os
 import sys
-import threading
 from collections import deque
-from contextlib import closing, nullcontext
+from contextlib import closing, nullcontext, suppress
 
 from .families import (
     ConditionViolatedError,
@@ -44,7 +44,7 @@ from .permcheck import BudgetExceededError, check, guard_budget, sample_points
 
 SEARCH_DEGREE_LIMIT = 10
 N_MAX_LIMIT = 64       # largest --n-max of gcd-suite and families
-SCREEN_TILE = 4096     # pair rows per screen step
+SCREEN_TILE = 4096     # pair rows per screen step, in a square block
 DEFAULT_SEED = 1
 DEFAULT_SAMPLES = 64
 THREADS_HELP = ("accepted and ignored: verify runs on one thread, search screens on "
@@ -99,41 +99,25 @@ def _family_tags(n: int, spec: FieldSpec):
 
 
 def _distinct_rows(vals):
-    # sorts a C-contiguous 2-D array's rows in place; True where a row has no repeat
+    # sorts a C-contiguous array's rows (last axis) in place; True where a row has no repeat
     import numpy as np
-    vals.sort(axis=1)
+    vals.sort(axis=-1)
     same = np.empty(vals.shape, dtype=bool)
     np.equal(vals.ravel()[1:], vals.ravel()[:-1], out=same.ravel()[:-1])
-    same[:, -1] = False   # each row's last pair straddles two rows
-    return ~same.any(axis=1)
-
-
-def _orbit_units(lead, tile: int):
-    """Tiles of triples e1 > e2 > e3 >= 1 that meet every Frobenius orbit.
-
-    A triple's least exponent L is a coset leader and the other two lie in cosets
-    led by L or more, so each orbit's member with the least ascending tuple is
-    among them; some orbits are met more than once.  Given lead[e], the leader of
-    each exponent's cyclotomic coset, yields (L, cand, a, b): the triples are
-    (L, cand[j], cand[i]) for the pairs (j, i) of rows a <= r < b of
-    np.tril_indices(len(cand), -1).
-    """
-    import numpy as np
-    for L in np.flatnonzero(lead == np.arange(lead.size))[1:].tolist():
-        cand = np.flatnonzero(lead >= L)[1:]   # cosets led by L or more, less L
-        total = cand.size * (cand.size - 1) // 2
-        for a in range(0, total, tile):
-            yield L, cand, a, min(a + tile, total)
+    same[..., -1] = False   # each row's last pair straddles two rows
+    return ~same.any(axis=-1)
 
 
 def _screen(spec: FieldSpec, sample_count: int, seed: int):
     """Screen a cover of the Frobenius orbits of triples e1 > e2 > e3 >= 1 on seeded
-    sample points and fully check the survivors.  Yields (triples, is_perm) per tile,
-    where triples holds the surviving triples' exponents, one row each, in no order
-    within a row.
+    sample points and fully check the survivors.  Yields (triples, is_perm) per block,
+    triples holding the survivors' exponents in descending rows.
 
     f_{2e} = (f_e)^2 and squaring is injective, so a whole orbit shares the sample
-    screen's outcome and the verdict."""
+    screen's outcome and the verdict.  An orbit's member with the least ascending tuple
+    has a coset leader L as its least exponent and the other two in cosets led by L or
+    more, so the triples (cand[j], cand[i], L), i < j, with cand those exponents above
+    L, meet every orbit, some more than once."""
     import numpy as np
     n, mult = spec.n, spec.order - 1
     exp_np, log_np = spec.exp_log_arrays()
@@ -159,35 +143,34 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
     confirm = powers(np.append(0, exp_np[np.flatnonzero(lead == np.arange(mult))]))
     orbit_id = lead[log_np].astype(dtype)
     orbit_id[0] = mult
-    # the pairs of the largest candidate list, leader 1's; every other leader's
-    # pairs are a prefix
-    i2, i3 = np.tril_indices(max(mult - 2, 0), -1)
-    tile = SCREEN_TILE
-    local = threading.local()
+    # each leader's pairs (j, i) in square blocks; on the diagonal only i < j are kept
+    block = math.isqrt(SCREEN_TILE)
+    below = np.tri(block, block, -1, dtype=bool)
 
     def units():
-        last = None
-        for L, cand, a, b in _orbit_units(lead, tile):
-            if cand is not last:
-                last, cand_cols = cand, cols[cand]
-                with_leader = cand_cols ^ cols[L]
-            yield L, cand, cand_cols, with_leader, a, b
+        for L in np.flatnonzero(lead == np.arange(mult))[1:].tolist():
+            cand = np.flatnonzero(lead >= L)[1:]   # cosets led by L or more, less L
+            cand_cols = cols[cand]
+            with_leader = cand_cols ^ cols[L]
+            for j in range(0, cand.size, block):
+                for i in range(0, j + 1, block):
+                    yield L, cand, cand_cols, with_leader, j, i
 
     # worker threads run unit() and call numpy only: nothing here touches a
     # FieldSpec or any other library function
     def unit(args):
-        L, cand, cand_cols, with_leader, a, b = args
-        work = getattr(local, "work", None)
-        if work is None:
-            work = local.work = np.empty((tile, cols.shape[1]), cols.dtype)
-        vals = work[:b - a]
-        j, i = i2[a:b], i3[a:b]
-        # row r is pair (j, i) = (i2[r], i3[r]): j's row, leader included, XOR i's row
-        np.take(with_leader, j, axis=0, out=vals)
-        vals ^= cand_cols[i]
-        keep = _distinct_rows(vals)
-        tri = np.empty((int(keep.sum()), 3), np.int64)
-        tri[:, 0], tri[:, 1], tri[:, 2] = cand[j[keep]], cand[i[keep]], L
+        L, cand, cand_cols, with_leader, j, i = args
+        left, right = with_leader[j:j + block], cand_cols[i:i + block]
+        # vals[r, c] is pair (j + r, i + c): j + r's row, leader included, XOR i + c's row
+        vals = left[:, None] ^ right
+        if i == j:   # sort only the pairs below the diagonal
+            r, c = np.nonzero(below[:len(left), :len(right)])
+            keep = _distinct_rows(vals[r, c])
+            r, c = r[keep], c[keep]
+        else:
+            r, c = np.nonzero(_distinct_rows(vals))
+        tri = np.empty((r.size, 3), np.int64)
+        tri[:, 0], tri[:, 1], tri[:, 2] = cand[j + r], cand[i + c], L
         # exact, as f fixes 0 and commutes with squaring (permcheck docstring): f
         # permutes iff its values there are distinct and lie in distinct orbits
         vals = confirm[tri[:, 0]]
@@ -200,8 +183,8 @@ def _screen(spec: FieldSpec, sample_count: int, seed: int):
 
     workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-    if workers == 1 or (mult - 2) * (mult - 3) // 2 <= tile:
-        # a pool costs more than it saves when every leader fits in one tile
+    if workers == 1 or mult - 2 <= block:
+        # a pool costs more than it saves when every leader fits in one block
         yield from map(unit, units())
         return
     # imported here: only a multi-CPU search needs the pool, and loading it
@@ -257,10 +240,10 @@ def _search_blocks(spec: FieldSpec, sample_count: int, seed: int):
             a, b, c = a * 2 % mult, b * 2 % mult, c * 2 % mult
         held.clear()
 
-    # tiles are marked in groups of about SCREEN_TILE triples: few calls
-    # when few survive, and about one tile's memory when all do
-    with closing(_screen(spec, sample_count, seed)) as tiles:
-        for tri, is_perm in tiles:
+    # blocks are marked in groups of about SCREEN_TILE triples: few calls
+    # when few survive, and about one block's memory when all do
+    with closing(_screen(spec, sample_count, seed)) as screened:
+        for tri, is_perm in screened:
             held.append((tri, is_perm))
             count += len(tri)
             if count >= SCREEN_TILE:
@@ -438,7 +421,15 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "n_max", None) is not None and not 2 <= args.n_max <= N_MAX_LIMIT:
             raise ValueError(f"--n-max must be in [2, {N_MAX_LIMIT}]")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # in the try, so a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: exit as a shell reports a SIGPIPE death,
+        # with stdout on os.devnull so the interpreter's last flush is quiet
+        with suppress(AttributeError, OSError):   # a stdout with no descriptor
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConditionViolatedError, DegreeMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

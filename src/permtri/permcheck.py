@@ -108,10 +108,13 @@ class InverseTable:
     _offset: "numpy.ndarray"
 
     def preimages(self, a) -> tuple[FieldElement, ...]:
-        bits = a.bits if isinstance(a, FieldElement) else a
-        if not 0 <= bits < self.spec.order:     # numpy would wrap or reject it
+        if isinstance(a, FieldElement):
+            if a.spec != self.spec:
+                raise ValueError("element bound to a different FieldSpec")
+            a = a.bits
+        if not 0 <= a < self.spec.order:     # numpy would wrap or reject it
             return ()
-        lo, hi = self._offset[bits:bits + 2].tolist()
+        lo, hi = self._offset[a:a + 2].tolist()
         return tuple(FieldElement(self.spec, x) for x in self._xs[lo:hi].tolist())
 
     def __getitem__(self, a):

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -272,8 +273,9 @@ class TestSearch:
     @pytest.mark.parametrize("tile", [None, 5, 3], ids=["default", "small", "tiled"])
     @pytest.mark.parametrize("n", range(2, 7))
     def test_csv_matches_naive_oracle(self, capsys, monkeypatch, n, tile):
-        # "small" confirms in many small tiles; "tiled" screens each leader in
-        # many tiles; both on a pool of two workers
+        # "small" screens and confirms each leader in 2 x 2 blocks, "tiled" in
+        # 1 x 1 blocks, where no pair lies on a diagonal block; both on a pool of
+        # two workers
         if tile is not None:
             monkeypatch.setattr(cli, "SCREEN_TILE", tile)
             force_pool(monkeypatch)
@@ -290,7 +292,7 @@ class TestSearch:
     @pytest.mark.parametrize("n", range(3, 9))
     def test_csv_matches_e1_block_oracle(self, capsys, monkeypatch, n, choice, pooled):
         # the former screen decided every triple of each e1 block on its own;
-        # "pool" also cuts the screened triples into 500-row tiles
+        # "pool" also cuts the screened pairs into 22 x 22 blocks
         modulus = list(itertools.islice(irreducibles(n), 2))[choice]
         if pooled:
             force_pool(monkeypatch)
@@ -317,14 +319,34 @@ class TestSearch:
 
     def test_write_error_is_not_a_parameter_error(self, monkeypatch):
         # only an --out path that cannot be opened exits 2; a write that fails
-        # part-way (a closed pipe, a full disk) is not a parameter error
-        class ClosedPipe:
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
+        # part-way is not a parameter error: a closed pipe exits 141 (here on a
+        # stand-in stdout with no file descriptor) and a full disk raises
+        class Failing:
+            def __init__(self, error):
+                self.error = error
 
-        monkeypatch.setattr(sys, "stdout", ClosedPipe())
-        with pytest.raises(BrokenPipeError):
+            def write(self, text):
+                raise self.error
+
+        monkeypatch.setattr(sys, "stdout", Failing(BrokenPipeError(32, "Broken pipe")))
+        assert main(["search", "--n", "5"]) == 141
+        monkeypatch.setattr(sys, "stdout", Failing(OSError(28, "No space left on device")))
+        with pytest.raises(OSError, match="No space"):
             main(["search", "--n", "5"])
+
+    @pytest.mark.parametrize("argv", [["search", "--n", "6"], ["families"]],
+                             ids=["search", "families"])
+    def test_closed_stdout_pipe_exits_141_quietly(self, argv, src_env):
+        # a reader that has gone, as in `permtri search --n 6 | head -2`: exit
+        # 128 + SIGPIPE with no traceback and no "Exception ignored" at exit
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "permtri.cli", *argv], env=src_env,
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_bad_samples_exit2_without_creating_out(self, capsys, tmp_path):
         path = tmp_path / "x.csv"
@@ -384,33 +406,32 @@ def coset_leaders(n):
     return np.array([min(e * (1 << j) % mult for j in range(n)) for e in range(mult)])
 
 
-def tile_triples(n, tile=cli.SCREEN_TILE):
-    """(L, x, y) arrays of the triples (x, y, L) of each tile _orbit_units yields."""
-    pairs = None
-    for L, cand, a, b in cli._orbit_units(coset_leaders(n), tile):
-        if pairs is None or pairs[0] is not cand:
-            pairs = cand, *np.tril_indices(cand.size, -1)
-        yield L, cand[pairs[1][a:b]], cand[pairs[2][a:b]]
+def cover_triples(n):
+    """(L, x, y) arrays of the triples (x, y, L) of each block _screen yields.
+    With one sample point no row repeats, so every triple of the cover survives."""
+    for tri, _ in cli._screen(default_spec(n), 1, 0):
+        x, y, L = tri.T
+        yield L, x, y
 
 
 class TestFrobeniusOrbits:
     @pytest.mark.parametrize("n", range(2, 10))
     def test_tiles_cover_triples(self, n):
-        # the tiles meet every orbit of the C(2^n - 2, 3) triples, some of
-        # them more than once: each tile triple is strictly descending, its
+        # the screen's blocks meet every orbit of the C(2^n - 2, 3) triples, some
+        # of them more than once: each cover triple is strictly descending, its
         # least exponent leads a cyclotomic coset and the other two lie in
-        # cosets led by no less, and the tile triples' orbits cover every triple
+        # cosets led by no less, and the cover triples' orbits cover every triple
         mult = (1 << n) - 1
         total = (mult - 1) * (mult - 2) * (mult - 3) // 6
         lead = coset_leaders(n)
         covered = np.zeros(total, dtype=bool)
         count = 0
         met = set()
-        for L, x, y in tile_triples(n):
-            assert lead[L] == L
+        for L, x, y in cover_triples(n):
+            assert (lead[L] == L).all()
             assert (x > y).all() and (y > L).all()
             assert (lead[x] >= L).all() and (lead[y] >= L).all()
-            orbit = np.stack([np.full_like(x, L), y, x])
+            orbit = np.stack([L, y, x])
             for _ in range(n):
                 e3, e2, e1 = np.sort(orbit, axis=0)
                 covered[(e1 - 1) * (e1 - 2) * (e1 - 3) // 6
@@ -418,12 +439,19 @@ class TestFrobeniusOrbits:
                 orbit = orbit * 2 % mult
             count += x.size
             if n <= 7:
-                met.update(zip([L] * x.size, y.tolist(), x.tolist()))
+                met.update(zip(L.tolist(), y.tolist(), x.tolist()))
         assert covered.all()
         if n <= 7:
             assert frobenius_orbit_representatives(n) <= met
         if n == 9:
             assert count == 2518870   # 2,442,112 orbits
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_small_tiles_cover_triples(self, monkeypatch, n):
+        # a 500-pair tile gives 22 x 22 blocks, so partial blocks and diagonal
+        # blocks past the first both occur
+        monkeypatch.setattr(cli, "SCREEN_TILE", 500)
+        self.test_tiles_cover_triples(n)
 
     @pytest.mark.parametrize("n", range(3, 7))
     def test_doubling_keeps_screen_and_verdict(self, n):

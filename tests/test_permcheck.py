@@ -219,6 +219,18 @@ class TestInverseTable:
             assert key not in table
         assert table.preimages(7) == (F8.element(7),) and 7 in table
 
+    def test_elements_of_another_field_are_refused(self):
+        # the F1 k=3 table's field is FieldSpec(9, 0x203): an element of another
+        # degree-9 field, or of F_1024, is not one of its keys
+        inst = instantiate("F1", k=3)
+        table = inverse_table(value_table(inst), inst.spec)
+        for a in (FieldSpec(9, 0x211).element(5), default_spec(10).element(5)):
+            assert a.spec != inst.spec
+            for ask in (table.preimages, table.__getitem__, table.__contains__):
+                with pytest.raises(ValueError, match="different FieldSpec"):
+                    ask(a)
+        assert table.preimages(inst.spec.element(5)) == table.preimages(5)
+
 
 class TestQuickReject:
     def test_finds_collision_in_two_to_one_map(self):
